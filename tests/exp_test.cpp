@@ -4,10 +4,14 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 
 #include "core/rng.hpp"
+#include "core/sysinfo.hpp"
+#include "data/synthetic_mnist.hpp"
 #include "exp/scenario.hpp"
 #include "fault/fault_generator.hpp"
+#include "models/zoo.hpp"
 
 namespace flim::exp {
 namespace {
@@ -516,6 +520,88 @@ TEST(ScenarioRunner, NewModelsSweepEndToEnd) {
   }
   // The expression axis canonicalizes labels.
   EXPECT_EQ(a.points[4].labels[0], "stuckat(rate=0.05)+drift(rate=0.1,tau=3)");
+}
+
+// ---------------------------------------------------------------------------
+// Pinned campaign results: FNV-1a checksums of the campaign CSV for every
+// paper fault shape, on an untrained LeNet built from its seed (no training,
+// so the whole case runs in seconds). A mismatch prints the observed
+// checksum; edit a constant only for an intended change in fault
+// realization or arithmetic, since every published campaign CSV drifts
+// with it.
+
+Workload untrained_lenet(std::int64_t images) {
+  data::SyntheticMnistOptions d;
+  d.size = images;
+  const data::SyntheticMnist ds(d);
+  Workload w;
+  w.model = models::build_lenet_binary(7).to_inference_model();
+  w.eval_batch = data::load_batch(ds, 0, images);
+  w.layers = w.model.analyze(FloatTensor(Shape{1, 1, 28, 28}, 0.5f))
+                 .binarized_layers;
+  return w;
+}
+
+struct CampaignGolden {
+  const char* what;
+  std::function<void(ScenarioSpec&)> configure;
+  std::uint64_t checksum;
+};
+
+TEST(ScenarioGolden, CampaignCsvMatchesPinnedChecksums) {
+  using fault::FaultGranularity;
+  using fault::FaultKind;
+  const std::vector<CampaignGolden> goldens{
+      {"bitflip", [](ScenarioSpec&) {}, 0x8ac2b95b1c53863dull},
+      {"stuckat sa1=0.7",
+       [](ScenarioSpec& s) {
+         s.fault.kind = FaultKind::kStuckAt;
+         s.fault.stuck_at_one_fraction = 0.7;
+       },
+       0x8e0d6c528bfc0d61ull},
+      {"dynamic period=3",
+       [](ScenarioSpec& s) {
+         s.fault.kind = FaultKind::kDynamic;
+         s.fault.dynamic_period = 3;
+       },
+       0x7366123386912561ull},
+      {"stuckat product-term",
+       [](ScenarioSpec& s) {
+         s.fault.kind = FaultKind::kStuckAt;
+         s.fault.granularity = FaultGranularity::kProductTerm;
+       },
+       0x0ffabb015bd73fcbull},
+      {"bitflip rows=2", [](ScenarioSpec& s) { s.fault.faulty_rows = 2; },
+       0xe0101ced56f43643ull},
+      {"bitflip cols=2", [](ScenarioSpec& s) { s.fault.faulty_cols = 2; },
+       0x8f553852e48be2a2ull},
+      {"clustered bitflip",
+       [](ScenarioSpec& s) {
+         s.fault.distribution = fault::FaultDistribution::kClustered;
+       },
+       0x194b39b8017efd44ull},
+      {"tmr x3",
+       [](ScenarioSpec& s) {
+         s.engine.backend = Backend::kTmr;
+         s.engine.tmr_replicas = 3;
+       },
+       0x78c461b3f8bcf0f2ull},
+      {"bitflip secded",
+       [](ScenarioSpec& s) { s.ecc_expr = "secded"; }, 0x284f5be063e299f5ull},
+  };
+  const Workload workload = untrained_lenet(128);
+  for (const CampaignGolden& golden : goldens) {
+    ScenarioSpec s;
+    s.axes = {rate_axis({0.01, 0.1})};
+    s.repetitions = 2;
+    s.master_seed = 7;
+    golden.configure(s);
+    const std::string csv =
+        ScenarioRunner(s).run(workload).to_table().to_csv();
+    const std::uint64_t observed = core::fnv1a64(csv);
+    EXPECT_EQ(observed, golden.checksum)
+        << golden.what << ": observed checksum 0x" << core::hash_hex(observed);
+  }
 }
 
 TEST(ScenarioRunner, PooledExpressionSweepIsBitIdenticalToSerial) {

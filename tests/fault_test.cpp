@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/rng.hpp"
+#include "core/sysinfo.hpp"
 #include "fault/fault_generator.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_mask.hpp"
@@ -311,6 +312,64 @@ TEST(FaultVectorFile, SerializationRoundTrip) {
   EXPECT_EQ(loaded.find("nonexistent"), nullptr);
 }
 
+// A version-1 file (the former single-kind layout) written by the former
+// writer: a bitflip entry at output granularity, a stuckat entry at
+// product-term granularity and a dynamic entry with period 3, each on a 4x4
+// grid with hand-placed bits.
+constexpr std::uint8_t kVersion1File[] = {
+    // magic "FLIMFVC1", version 1, 3 entries
+    0x46, 0x4c, 0x49, 0x4d, 0x46, 0x56, 0x43, 0x31, 0x01, 0x00,
+    0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+    // conv1: bitflip, output-element, period 0
+    0x05, 0x00, 0x00, 0x00, 0x63, 0x6f, 0x6e, 0x76, 0x31, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00,
+    // 4x4 grid; flip, sa0, sa1 planes
+    0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x42, 0x80, 0x00, 0x00,
+    0x00, 0x00,
+    // conv2: stuckat, product-term, period 0
+    0x05, 0x00, 0x00, 0x00, 0x63, 0x6f, 0x6e, 0x76, 0x32, 0x01,
+    0x01, 0x00, 0x00, 0x00, 0x00,
+    // 4x4 grid; flip, sa0, sa1 planes
+    0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x02,
+    0x20, 0x40,
+    // dense0: dynamic, output-element, period 3
+    0x06, 0x00, 0x00, 0x00, 0x64, 0x65, 0x6e, 0x73, 0x65, 0x30,
+    0x02, 0x00, 0x03, 0x00, 0x00, 0x00,
+    // 4x4 grid; flip, sa0, sa1 planes
+    0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0c, 0x10, 0x00, 0x00,
+    0x00, 0x00,
+};
+
+/// The 4x4 masks of kVersion1File, in entry order.
+std::vector<FaultMask> version1_masks() {
+  FaultMask flips(4, 4);
+  for (const std::int64_t slot : {1, 6, 15}) flips.set_flip(slot, true);
+  FaultMask stuck(4, 4);
+  for (const std::int64_t slot : {0, 9}) stuck.set_sa0(slot, true);
+  for (const std::int64_t slot : {5, 14}) stuck.set_sa1(slot, true);
+  FaultMask dynamic(4, 4);
+  for (const std::int64_t slot : {2, 3, 12}) dynamic.set_flip(slot, true);
+  return {flips, stuck, dynamic};
+}
+
+TEST(FaultVectorFile, LoadsVersion1File) {
+  const std::vector<FaultMask> masks = version1_masks();
+  FaultVectorFile file;
+  file.add({"conv1", FaultKind::kBitFlip, FaultGranularity::kOutputElement, 0,
+            masks[0], {}});
+  file.add({"conv2", FaultKind::kStuckAt, FaultGranularity::kProductTerm, 0,
+            masks[1], {}});
+  file.add({"dense0", FaultKind::kDynamic, FaultGranularity::kOutputElement, 3,
+            masks[2], {}});
+  const std::vector<std::uint8_t> bytes(std::begin(kVersion1File),
+                                        std::end(kVersion1File));
+  EXPECT_EQ(file.serialize(), bytes);
+  EXPECT_EQ(FaultVectorFile::deserialize(bytes), file);
+}
+
 TEST(FaultVectorFile, FileRoundTrip) {
   FaultGenerator gen({8, 8});
   core::Rng rng(7);
@@ -585,27 +644,58 @@ TEST(FaultExpr, LegacySpecConvertsToOneModelStack) {
             "stuckat(cols=0,rate=0.05,rows=0,sa1=0.7)");
 }
 
-TEST(FaultExpr, StackRealizationMatchesLegacyGenerator) {
-  // The registered paper models must consume the RNG exactly like the
-  // legacy generator: same seed, same masks, for every kind.
-  const lim::CrossbarGeometry grid{24, 16};
-  FaultGenerator gen(grid);
-  for (const FaultKind kind :
-       {FaultKind::kBitFlip, FaultKind::kStuckAt, FaultKind::kDynamic}) {
+/// FNV-1a over a mask's three planes (flip, then sa0, then sa1).
+std::uint64_t planes_checksum(const FaultMask& mask) {
+  std::string bytes;
+  for (const auto* plane :
+       {&mask.flip_plane(), &mask.sa0_plane(), &mask.sa1_plane()}) {
+    bytes.append(plane->begin(), plane->end());
+  }
+  return core::fnv1a64(bytes);
+}
+
+// Pinned realizations of the paper's three kinds, uniform and clustered,
+// with whole faulty rows and columns on top. The registered models own the
+// RNG draw order, so these constants pin every campaign that lowers a
+// FaultSpec. A mismatch prints the observed checksum; edit a constant only
+// for an intended change in realization.
+TEST(FaultExpr, PaperKindRealizationsMatchPinnedChecksums) {
+  struct Golden {
+    FaultKind kind;
+    FaultDistribution distribution;
+    std::uint64_t checksum;
+  };
+  const Golden goldens[] = {
+      {FaultKind::kBitFlip, FaultDistribution::kUniform, 0x27ba6ed9b3084fc9ull},
+      {FaultKind::kStuckAt, FaultDistribution::kUniform, 0x9dca04cd8fbbf8f4ull},
+      {FaultKind::kDynamic, FaultDistribution::kUniform, 0x27ba6ed9b3084fc9ull},
+      {FaultKind::kBitFlip, FaultDistribution::kClustered, 0x4037525a4a5a0236ull},
+      {FaultKind::kStuckAt, FaultDistribution::kClustered, 0x41e440dbacdd6e78ull},
+      {FaultKind::kDynamic, FaultDistribution::kClustered, 0x4037525a4a5a0236ull},
+  };
+  for (const Golden& g : goldens) {
     FaultSpec spec;
-    spec.kind = kind;
+    spec.kind = g.kind;
     spec.injection_rate = 0.08;
     spec.faulty_rows = 2;
     spec.faulty_cols = 1;
     spec.dynamic_period = 4;
-    core::Rng r1(77), r2(77);
-    const FaultMask legacy = gen.generate(spec, r1);
+    spec.stuck_at_one_fraction = 0.7;
+    spec.distribution = g.distribution;
+    spec.cluster_count = 2;
     RealizeContext ctx;
-    ctx.grid = grid;
+    ctx.grid = {24, 16};
+    ctx.distribution = spec.distribution;
+    ctx.cluster_count = spec.cluster_count;
+    ctx.cluster_radius = spec.cluster_radius;
+    core::Rng rng(77);
     const std::vector<RealizedFault> components =
-        stack_from_spec(spec).realize(ctx, r2);
+        stack_from_spec(spec).realize(ctx, rng);
     ASSERT_EQ(components.size(), 1u);
-    EXPECT_EQ(components[0].mask, legacy) << to_string(kind);
+    const std::uint64_t observed = planes_checksum(components[0].mask);
+    EXPECT_EQ(observed, g.checksum)
+        << to_string(g.kind) << " " << to_string(g.distribution)
+        << ": observed checksum 0x" << core::hash_hex(observed);
   }
 }
 
