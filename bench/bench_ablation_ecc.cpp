@@ -28,7 +28,6 @@
 #include "bench_common.hpp"
 #include "core/campaign.hpp"
 #include "core/rng.hpp"
-#include "fault/fault_generator.hpp"
 #include "fault/fault_registry.hpp"
 #include "fault/residual.hpp"
 #include "reliability/ecc.hpp"
@@ -66,8 +65,9 @@ fault::FaultMask random_mask(double rate, std::uint64_t seed) {
   fault::FaultSpec spec;
   spec.kind = fault::FaultKind::kStuckAt;
   spec.injection_rate = rate;
-  fault::FaultGenerator gen({kRows, kCols});
-  return gen.generate(spec, rng);
+  fault::RealizeContext ctx;
+  ctx.grid = {kRows, kCols};
+  return fault::stack_from_spec(spec).realize(ctx, rng).front().mask;
 }
 
 /// Burst defects: `bursts` damaged 8-cell row segments.

@@ -7,7 +7,7 @@
 #include "core/log.hpp"
 #include "core/report.hpp"
 #include "core/rng.hpp"
-#include "fault/fault_generator.hpp"
+#include "fault/fault_registry.hpp"
 #include "models/pretrained.hpp"
 #include "models/zoo.hpp"
 
@@ -128,7 +128,12 @@ double evaluate_with_faults(const bnn::Model& model, const data::Batch& batch,
                             const std::vector<std::string>& layer_filter,
                             const fault::FaultSpec& spec, std::uint64_t seed,
                             lim::CrossbarGeometry grid) {
-  fault::FaultGenerator gen(grid);
+  const fault::FaultStack stack = fault::stack_from_spec(spec);
+  fault::RealizeContext ctx;
+  ctx.grid = grid;
+  ctx.distribution = spec.distribution;
+  ctx.cluster_count = spec.cluster_count;
+  ctx.cluster_radius = spec.cluster_radius;
   core::Rng rng(seed);
   bnn::FlimEngine engine;
   for (const auto& layer : layers) {
@@ -139,13 +144,8 @@ double evaluate_with_faults(const bnn::Model& model, const data::Batch& batch,
       }
       if (!selected) continue;
     }
-    fault::FaultVectorEntry entry;
-    entry.layer_name = layer.layer_name;
-    entry.kind = spec.kind;
-    entry.granularity = spec.granularity;
-    entry.dynamic_period = spec.dynamic_period;
-    entry.mask = gen.generate(spec, rng);
-    engine.set_layer_fault(entry);
+    engine.set_layer_fault(
+        stack.realize_entry(layer.layer_name, spec.granularity, ctx, rng));
   }
   return model.evaluate(batch, engine);
 }

@@ -10,7 +10,7 @@
 #include "bench_common.hpp"
 #include "bnn/flim_engine.hpp"
 #include "core/rng.hpp"
-#include "fault/fault_generator.hpp"
+#include "fault/fault_registry.hpp"
 #include "models/zoo.hpp"
 #include "train/trainer.hpp"
 
@@ -24,26 +24,15 @@ int main() {
 
   // A fixed defect map: 15% bit-flips plus 2% stuck-at on every
   // crossbar-mapped layer.
-  fault::FaultGenerator gen({64, 64});
+  const fault::FaultStack stack =
+      fault::parse_fault_expr("bitflip(rate=0.15)+stuckat(rate=0.02)");
+  fault::RealizeContext ctx;
+  ctx.grid = {64, 64};
   core::Rng rng(options.master_seed);
   fault::FaultVectorFile vectors;
   for (const auto& layer : models::lenet_faultable_layers()) {
-    fault::FaultSpec flips;
-    flips.kind = fault::FaultKind::kBitFlip;
-    flips.injection_rate = 0.15;
-    fault::FaultVectorEntry e;
-    e.layer_name = layer;
-    e.mask = gen.generate(flips, rng);
-    // Add stuck-at cells into the same mask.
-    fault::FaultSpec stuck;
-    stuck.kind = fault::FaultKind::kStuckAt;
-    stuck.injection_rate = 0.02;
-    const fault::FaultMask sa = gen.generate(stuck, rng);
-    for (std::int64_t s = 0; s < sa.num_slots(); ++s) {
-      if (sa.sa0(s)) e.mask.set_sa0(s, true);
-      if (sa.sa1(s)) e.mask.set_sa1(s, true);
-    }
-    vectors.add(std::move(e));
+    vectors.add(stack.realize_entry(
+        layer, fault::FaultGranularity::kOutputElement, ctx, rng));
   }
 
   train::TrainConfig cfg;

@@ -12,7 +12,7 @@
 #include "bnn/redundancy.hpp"
 #include "core/campaign.hpp"
 #include "core/rng.hpp"
-#include "fault/fault_generator.hpp"
+#include "fault/fault_registry.hpp"
 #include "models/zoo.hpp"
 
 using namespace flim;
@@ -24,20 +24,21 @@ namespace {
 std::unique_ptr<bnn::XnorExecutionEngine> make_replicated_engine(
     int n, double rate, std::uint64_t seed,
     const std::vector<bnn::LayerWorkload>& layers) {
-  fault::FaultGenerator gen({64, 64});
+  fault::FaultSpec spec;
+  spec.kind = fault::FaultKind::kStuckAt;
+  spec.injection_rate = rate;
+  const fault::FaultStack stack = fault::stack_from_spec(spec);
+  fault::RealizeContext ctx;
+  ctx.grid = {64, 64};
   core::Rng rng(seed);
   std::vector<std::unique_ptr<bnn::XnorExecutionEngine>> replicas;
   for (int i = 0; i < n; ++i) {
     auto engine = std::make_unique<bnn::FlimEngine>();
     for (const auto& layer : layers) {
-      fault::FaultSpec spec;
-      spec.kind = fault::FaultKind::kStuckAt;
-      spec.injection_rate = rate;
-      fault::FaultVectorEntry e;
-      e.layer_name = layer.layer_name;
-      e.kind = spec.kind;
-      e.mask = gen.generate(spec, rng);  // independent defects per replica
-      engine->set_layer_fault(std::move(e));
+      // Independent defects per replica.
+      engine->set_layer_fault(stack.realize_entry(
+          layer.layer_name, fault::FaultGranularity::kOutputElement, ctx,
+          rng));
     }
     replicas.push_back(std::move(engine));
   }

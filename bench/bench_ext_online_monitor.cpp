@@ -11,7 +11,7 @@
 #include "bench_common.hpp"
 #include "core/campaign.hpp"
 #include "core/rng.hpp"
-#include "fault/fault_generator.hpp"
+#include "fault/fault_registry.hpp"
 #include "reliability/monitor.hpp"
 
 using namespace flim;
@@ -26,8 +26,10 @@ double detection_latency(reliability::CanaryPolicy policy, int slots_per_round,
   fault::FaultSpec spec;
   spec.kind = fault::FaultKind::kStuckAt;
   spec.injection_rate = fault_rate;
-  fault::FaultGenerator gen(grid);
-  const fault::FaultMask mask = gen.generate(spec, rng);
+  fault::RealizeContext ctx;
+  ctx.grid = grid;
+  const fault::FaultMask mask =
+      fault::stack_from_spec(spec).realize(ctx, rng).front().mask;
 
   reliability::MonitorConfig cfg;
   cfg.grid = grid;

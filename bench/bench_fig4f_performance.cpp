@@ -79,8 +79,11 @@ double run_plan_inference(const bnn::ForwardPlan& plan,
 // campaign inner-loop shape.
 bnn::FlimEngine clean_mapped_engine(
     const std::vector<bnn::LayerWorkload>& layers) {
+  fault::RealizedFault no_faults;
+  no_faults.model = "bitflip";
+  no_faults.mask = fault::FaultMask(64, 64);
   fault::FaultVectorEntry clean_entry;
-  clean_entry.mask = fault::FaultMask(64, 64);
+  clean_entry.components.push_back(no_faults);
   bnn::FlimEngine engine;
   for (const auto& layer : layers) {
     fault::FaultVectorEntry e = clean_entry;

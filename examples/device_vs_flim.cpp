@@ -12,7 +12,7 @@
 #include "bnn/flim_engine.hpp"
 #include "bnn/model.hpp"
 #include "core/rng.hpp"
-#include "fault/fault_generator.hpp"
+#include "fault/fault_registry.hpp"
 #include "xfault/device_engine.hpp"
 
 int main() {
@@ -34,19 +34,16 @@ int main() {
   }
 
   // Identical product-term fault masks for both engines (gate-grid layout).
-  fault::FaultGenerator gen({16, 16});  // 256 gates
+  fault::RealizeContext ctx;
+  ctx.grid = {16, 16};  // 256 gates
   core::Rng mask_rng(7);
-  fault::FaultSpec spec;
-  spec.kind = fault::FaultKind::kStuckAt;
-  spec.injection_rate = 0.08;
-  spec.granularity = fault::FaultGranularity::kProductTerm;
-  fault::FaultVectorEntry entry;
-  entry.layer_name = "demo";
-  entry.kind = spec.kind;
-  entry.granularity = spec.granularity;
-  entry.mask = gen.generate(spec, mask_rng);
-  std::cout << "mask: " << entry.mask.count_sa0() << " SA0 + "
-            << entry.mask.count_sa1() << " SA1 gates of 256\n";
+  const fault::FaultVectorEntry entry =
+      fault::parse_fault_expr("stuckat(rate=0.08)")
+          .realize_entry("demo", fault::FaultGranularity::kProductTerm, ctx,
+                         mask_rng);
+  const fault::FaultMask& mask = entry.components.front().mask;
+  std::cout << "mask: " << mask.count_sa0() << " SA0 + " << mask.count_sa1()
+            << " SA1 gates of 256\n";
 
   bnn::FlimEngine flim;
   flim.set_layer_fault(entry);

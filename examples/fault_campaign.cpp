@@ -10,7 +10,7 @@
 #include "bnn/flim_engine.hpp"
 #include "core/rng.hpp"
 #include "data/synthetic_mnist.hpp"
-#include "fault/fault_generator.hpp"
+#include "fault/fault_registry.hpp"
 #include "fault/fault_vector_file.hpp"
 #include "models/pretrained.hpp"
 #include "models/zoo.hpp"
@@ -31,21 +31,19 @@ int main() {
           .binarized_layers;
 
   // --- offline: generate masks and extract the noise vectors ---------------
-  fault::FaultGenerator generator({40, 10});
+  const fault::FaultStack stack = fault::parse_fault_expr("stuckat(rate=0.05)");
+  fault::RealizeContext ctx;
+  ctx.grid = {40, 10};
   core::Rng rng(2023);
   fault::FaultVectorFile file;
   for (const auto& layer : layers) {
-    fault::FaultSpec spec;
-    spec.kind = fault::FaultKind::kStuckAt;
-    spec.injection_rate = 0.05;
-    fault::FaultVectorEntry entry;
-    entry.layer_name = layer.layer_name;
-    entry.kind = spec.kind;
-    entry.mask = generator.generate(spec, rng);
+    file.add(stack.realize_entry(layer.layer_name,
+                                 fault::FaultGranularity::kOutputElement, ctx,
+                                 rng));
+    const fault::FaultMask& mask = file.entries().back().components[0].mask;
     std::cout << "generated mask for " << layer.layer_name << ": "
-              << entry.mask.count_sa0() << " SA0 + " << entry.mask.count_sa1()
+              << mask.count_sa0() << " SA0 + " << mask.count_sa1()
               << " SA1 cells on a 40x10 virtual crossbar\n";
-    file.add(std::move(entry));
   }
   const std::string path = "fault_vectors_demo.bin";
   file.save(path);

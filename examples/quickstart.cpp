@@ -10,7 +10,7 @@
 #include "bnn/flim_engine.hpp"
 #include "core/rng.hpp"
 #include "data/synthetic_mnist.hpp"
-#include "fault/fault_generator.hpp"
+#include "fault/fault_registry.hpp"
 #include "models/zoo.hpp"
 #include "train/trainer.hpp"
 
@@ -48,19 +48,15 @@ int main() {
   //    every crossbar-mapped layer and attach them to a FLIM engine.
   const auto characteristics =
       model.analyze(tensor::FloatTensor(tensor::Shape{1, 1, 28, 28}, 0.5f));
-  fault::FaultGenerator generator({64, 64});
+  const fault::FaultStack stack = fault::parse_fault_expr("bitflip(rate=0.1)");
+  fault::RealizeContext ctx;
+  ctx.grid = {64, 64};
   core::Rng rng(/*seed=*/7);
 
   bnn::FlimEngine flim;
   for (const auto& layer : characteristics.binarized_layers) {
-    fault::FaultSpec spec;
-    spec.kind = fault::FaultKind::kBitFlip;
-    spec.injection_rate = 0.10;
-    fault::FaultVectorEntry entry;
-    entry.layer_name = layer.layer_name;
-    entry.kind = spec.kind;
-    entry.mask = generator.generate(spec, rng);
-    flim.set_layer_fault(entry);
+    flim.set_layer_fault(stack.realize_entry(
+        layer.layer_name, fault::FaultGranularity::kOutputElement, ctx, rng));
     std::cout << "  injected 10% bit-flips into " << layer.layer_name << " ("
               << layer.output_elements_per_image() << " XNOR outputs/image)\n";
   }

@@ -14,7 +14,7 @@
 #include "bnn/redundancy.hpp"
 #include "core/rng.hpp"
 #include "data/synthetic_mnist.hpp"
-#include "fault/fault_generator.hpp"
+#include "fault/fault_registry.hpp"
 #include "reliability/ecc.hpp"
 #include "reliability/monitor.hpp"
 #include "train/layers.hpp"
@@ -57,26 +57,29 @@ int main() {
 
   // --- a defect develops in the field ---------------------------------------
   const lim::CrossbarGeometry grid{64, 64};
-  fault::FaultGenerator gen(grid);
+  fault::RealizeContext ctx;
+  ctx.grid = grid;
   core::Rng rng(2023);
-  fault::FaultSpec defect;
-  defect.kind = fault::FaultKind::kStuckAt;
-  defect.injection_rate = 0.02;  // sparse enough for SEC-DED to matter
-  const fault::FaultMask mask = gen.generate(defect, rng);
+  // Sparse enough for SEC-DED to matter.
+  const fault::FaultStack defect = fault::parse_fault_expr("stuckat(rate=0.02)");
+  const fault::FaultMask mask = defect.realize(ctx, rng).front().mask;
 
   // The defect hits the hidden layer's crossbar. (The 10-op output layer
   // would pin one logit for *every* image if faulted -- see the fig4b bench
   // for that catastrophic case; here we follow the common practice of
   // keeping the tiny classifier head in protected CMOS.)
   const std::string faulted_layer = "bd0";
-  bnn::FlimEngine faulty;
-  {
+  const auto stuck_entry = [&](const fault::FaultMask& defect_map) {
+    fault::RealizedFault component;
+    component.model = "stuckat";
+    component.mask = defect_map;
     fault::FaultVectorEntry e;
     e.layer_name = faulted_layer;
-    e.kind = defect.kind;
-    e.mask = mask;
-    faulty.set_layer_fault(e);
-  }
+    e.components.push_back(std::move(component));
+    return e;
+  };
+  bnn::FlimEngine faulty;
+  faulty.set_layer_fault(stuck_entry(mask));
   const double degraded = model.evaluate(test, faulty);
   std::cout << "\na stuck-at defect develops in " << faulted_layer
             << "'s crossbar (2% of slots): accuracy drops to "
@@ -101,13 +104,7 @@ int main() {
   const fault::FaultMask residual = reliability::apply_secded_scrub(
       mask, reliability::EccOptions{32, 4}, &stats);
   bnn::FlimEngine scrubbed;
-  {
-    fault::FaultVectorEntry e;
-    e.layer_name = faulted_layer;
-    e.kind = defect.kind;
-    e.mask = residual;
-    scrubbed.set_layer_fault(e);
-  }
+  scrubbed.set_layer_fault(stuck_entry(residual));
   const double after_ecc = model.evaluate(test, scrubbed);
   std::cout << "\nECC scrub (SEC-DED, 32-bit words, interleave 4) corrects "
             << stats.corrected_words << "/" << stats.words
@@ -118,14 +115,10 @@ int main() {
   std::vector<std::unique_ptr<bnn::XnorExecutionEngine>> replicas;
   for (int r = 0; r < 3; ++r) {
     auto engine = std::make_unique<bnn::FlimEngine>();
-    const fault::FaultMask replica_mask = gen.generate(defect, replica_rng);
-    const fault::FaultMask replica_residual = reliability::apply_secded_scrub(
-        replica_mask, reliability::EccOptions{32, 4});
-    fault::FaultVectorEntry e;
-    e.layer_name = faulted_layer;
-    e.kind = defect.kind;
-    e.mask = replica_residual;
-    engine->set_layer_fault(e);
+    const fault::FaultMask replica_mask =
+        defect.realize(ctx, replica_rng).front().mask;
+    engine->set_layer_fault(stuck_entry(reliability::apply_secded_scrub(
+        replica_mask, reliability::EccOptions{32, 4})));
     replicas.push_back(std::move(engine));
   }
   bnn::MedianVoteEngine voter(std::move(replicas));

@@ -20,7 +20,6 @@
 #include "exp/eval_point.hpp"
 #include "exp/scenario.hpp"
 #include "exp/store.hpp"
-#include "fault/fault_generator.hpp"
 #include "fault/fault_registry.hpp"
 #include "fault/fault_vector_file.hpp"
 #include "fault/residual.hpp"
@@ -247,8 +246,8 @@ commands:
 
 namespace {
 
-/// Aggregate plane population counts of an entry (legacy mask plus every
-/// realized component).
+/// Aggregate plane population counts of an entry, summed over its
+/// realized components.
 struct EntryCounts {
   std::int64_t flips = 0;
   std::int64_t sa0 = 0;
@@ -257,11 +256,6 @@ struct EntryCounts {
 
 EntryCounts count_entry(const fault::FaultVectorEntry& entry) {
   EntryCounts counts;
-  if (!entry.mask.empty()) {
-    counts.flips += entry.mask.count_flip();
-    counts.sa0 += entry.mask.count_sa0();
-    counts.sa1 += entry.mask.count_sa1();
-  }
   for (const fault::RealizedFault& c : entry.components) {
     counts.flips += c.mask.count_flip();
     counts.sa0 += c.mask.count_sa0();
@@ -271,8 +265,7 @@ EntryCounts count_entry(const fault::FaultVectorEntry& entry) {
 }
 
 std::string entry_grid_string(const fault::FaultVectorEntry& entry) {
-  const fault::FaultMask& mask =
-      entry.components.empty() ? entry.mask : entry.components.front().mask;
+  const fault::FaultMask mask = entry.combined_mask();
   return std::to_string(mask.rows()) + "x" + std::to_string(mask.cols());
 }
 
@@ -303,12 +296,14 @@ int cmd_generate(const Args& args) {
   spec.cluster_count = static_cast<int>(args.get_int("clusters", 0));
   spec.cluster_radius = args.get_double("cluster-radius", 2.0);
 
-  core::Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 42)));
-  fault::FaultVectorFile file;
-  if (!fault_expr.empty()) {
-    // Composable path: realize the parsed model stack per layer. Every
-    // single-kind flag is rejected (not silently ignored): their meanings
-    // live in the model parameters now.
+  fault::FaultStack stack;
+  if (fault_expr.empty()) {
+    // The single-kind flags are sugar for the matching one-model stack.
+    spec.kind = parse_kind(args.get_string("kind", "bitflip"));
+    stack = fault::stack_from_spec(spec);
+  } else {
+    // Every single-kind flag is rejected (not silently ignored): their
+    // meanings live in the model parameters now.
     FLIM_REQUIRE(!args.has("kind") && !args.has("rate") &&
                      !args.has("faulty-rows") && !args.has("faulty-cols") &&
                      !args.has("period") && !args.has("sa1-fraction"),
@@ -316,31 +311,20 @@ int cmd_generate(const Args& args) {
                  "--period/--sa1-fraction; express them as model parameters, "
                  "e.g. --fault 'stuckat(rate=0.05,sa1=0.7,rows=2)' or "
                  "'dynamic(rate=0.05,period=4)'");
-    const fault::FaultStack stack = fault::parse_fault_expr(fault_expr);
-    stack.validate_granularity(spec.granularity);
-    fault::RealizeContext ctx;
-    ctx.grid = grid;
-    ctx.distribution = spec.distribution;
-    ctx.cluster_count = spec.cluster_count;
-    ctx.cluster_radius = spec.cluster_radius;
-    for (const auto& layer : layers) {
-      file.add(stack.realize_entry(layer, spec.granularity, ctx, rng));
-    }
-    std::cout << "fault stack: " << stack.canonical() << "\n";
-  } else {
-    spec.kind = parse_kind(args.get_string("kind", "bitflip"));
-    validate(spec);
-    fault::FaultGenerator generator(grid);
-    for (const auto& layer : layers) {
-      fault::FaultVectorEntry entry;
-      entry.layer_name = layer;
-      entry.kind = spec.kind;
-      entry.granularity = spec.granularity;
-      entry.dynamic_period = spec.dynamic_period;
-      entry.mask = generator.generate(spec, rng);
-      file.add(std::move(entry));
-    }
+    stack = fault::parse_fault_expr(fault_expr);
   }
+  stack.validate_granularity(spec.granularity);
+  fault::RealizeContext ctx;
+  ctx.grid = grid;
+  ctx.distribution = spec.distribution;
+  ctx.cluster_count = spec.cluster_count;
+  ctx.cluster_radius = spec.cluster_radius;
+  core::Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 42)));
+  fault::FaultVectorFile file;
+  for (const auto& layer : layers) {
+    file.add(stack.realize_entry(layer, spec.granularity, ctx, rng));
+  }
+  std::cout << "fault stack: " << stack.canonical() << "\n";
   for (const auto& entry : file.entries()) {
     const EntryCounts counts = count_entry(entry);
     std::cout << entry.layer_name << ": " << counts.flips << " flips, "
@@ -358,13 +342,12 @@ int cmd_inspect(const Args& args) {
   const std::string path = args.get_string("file");
   FLIM_REQUIRE(!path.empty(), "--file is required");
   const fault::FaultVectorFile file = fault::FaultVectorFile::load(path);
-  core::Table table({"layer", "fault", "granularity", "period", "grid",
-                     "flips", "sa0", "sa1"});
+  core::Table table({"layer", "fault", "granularity", "grid", "flips", "sa0",
+                     "sa1"});
   for (const auto& e : file.entries()) {
     const EntryCounts counts = count_entry(e);
     table.add(e.layer_name, e.describe(), to_string(e.granularity),
-              e.dynamic_period, entry_grid_string(e), counts.flips,
-              counts.sa0, counts.sa1);
+              entry_grid_string(e), counts.flips, counts.sa0, counts.sa1);
   }
   core::print_table(std::cout, path, table);
   return 0;

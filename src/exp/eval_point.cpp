@@ -7,7 +7,6 @@
 #include "core/report.hpp"
 #include "core/rng.hpp"
 #include "core/thread_pool.hpp"
-#include "fault/fault_generator.hpp"
 #include "fault/residual.hpp"
 #include "models/zoo.hpp"
 #include "reliability/ecc/registry.hpp"
@@ -31,15 +30,19 @@ fault::FaultVectorFile realize_point_vectors(const lim::CrossbarGeometry& grid,
                                              const PointFaultConfig& pc,
                                              core::Rng& rng,
                                              const fault::FaultStack* parsed) {
-  fault::FaultGenerator gen(grid);
   fault::RealizeContext ctx;
   ctx.grid = grid;
   ctx.distribution = pc.spec.distribution;
   ctx.cluster_count = pc.spec.cluster_count;
   ctx.cluster_radius = pc.spec.cluster_radius;
+  // A point without an expression lowers its FaultSpec to the one-model
+  // stack; an expression is parsed here unless the caller already did.
   fault::FaultStack local;
   const fault::FaultStack* stack = parsed;
-  if (!pc.expr.empty() && stack == nullptr) {
+  if (pc.expr.empty()) {
+    local = fault::stack_from_spec(pc.spec);
+    stack = &local;
+  } else if (stack == nullptr) {
     local = fault::parse_fault_expr(pc.expr);
     stack = &local;
   }
@@ -53,18 +56,8 @@ fault::FaultVectorFile realize_point_vectors(const lim::CrossbarGeometry& grid,
       }
       if (!selected) continue;
     }
-    if (!pc.expr.empty()) {
-      file.add(
-          stack->realize_entry(layer.layer_name, pc.spec.granularity, ctx, rng));
-      continue;
-    }
-    fault::FaultVectorEntry entry;
-    entry.layer_name = layer.layer_name;
-    entry.kind = pc.spec.kind;
-    entry.granularity = pc.spec.granularity;
-    entry.dynamic_period = pc.spec.dynamic_period;
-    entry.mask = gen.generate(pc.spec, rng);
-    file.add(std::move(entry));
+    file.add(
+        stack->realize_entry(layer.layer_name, pc.spec.granularity, ctx, rng));
   }
   // The ECC scrub runs AFTER realization: every mask above was drawn from
   // exactly the RNG stream a no-codec run draws, so adding a codec never

@@ -31,13 +31,13 @@
 namespace flim::exp {
 
 /// The fault configuration of one resolved point: either a composable
-/// fault expression (when `expr` is non-empty) or the legacy single-kind
-/// fields of `spec`. Granularity and the distribution/cluster placement
-/// settings always come from `spec`.
+/// fault expression (when `expr` is non-empty) or the single-kind fields of
+/// `spec`, which lower to the equivalent one-model stack. Granularity and
+/// the distribution/cluster placement settings always come from `spec`.
 struct PointFaultConfig {
-  /// Legacy single-kind fields plus granularity/placement settings.
+  /// Single-kind fields plus granularity/placement settings.
   fault::FaultSpec spec;
-  /// Composable fault expression; empty selects the legacy fields.
+  /// Composable fault expression; empty selects the single-kind fields.
   std::string expr;
   /// Layer filter (empty = all binarized layers).
   std::vector<std::string> filter;
@@ -53,15 +53,13 @@ struct PointFaultConfig {
 };
 
 /// Draws the fault vectors of one repetition: one entry per selected
-/// binarized layer, masks drawn from `rng` in layer order. This is the
-/// exact realization order the pre-scenario benches used, which keeps
-/// outputs byte-identical across the API boundary. A point with a fault
-/// expression realizes the parsed FaultStack instead (component entries);
-/// the legacy path keeps the single-kind entry layout and its RNG stream
-/// untouched. `parsed` optionally supplies the already-parsed stack for
-/// `pc.expr` (the warm serving path parses once per cache entry, not once
-/// per repetition); pass nullptr to parse here. Parsing never touches
-/// `rng`, so both modes draw identical masks.
+/// binarized layer, each the point's FaultStack realized from `rng` in
+/// layer order -- the parsed `pc.expr`, or `pc.spec` lowered through
+/// fault::stack_from_spec (which validates it). `parsed` optionally
+/// supplies the already-parsed stack for `pc.expr` (the warm serving path
+/// parses once per cache entry, not once per repetition); pass nullptr to
+/// parse or lower here. Parsing never touches `rng`, so both modes draw
+/// identical masks.
 fault::FaultVectorFile realize_point_vectors(
     const lim::CrossbarGeometry& grid, const Workload& workload,
     const PointFaultConfig& pc, core::Rng& rng,

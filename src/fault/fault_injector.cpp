@@ -8,25 +8,13 @@ namespace flim::fault {
 FaultInjector::FaultInjector(FaultVectorEntry entry)
     : entry_(std::move(entry)) {
   const FaultRegistry& registry = FaultRegistry::instance();
-  if (entry_.components.empty()) {
-    // Legacy single-kind entry: adapt (kind, dynamic_period, mask) into the
-    // matching registered model. Behaviour is bit-identical to the
-    // pre-registry switch.
-    FLIM_REQUIRE(!entry_.mask.empty(),
-                 "fault injector needs a non-empty mask or components");
-    legacy_.model = model_name_for(entry_.kind);
-    if (entry_.kind == FaultKind::kDynamic) {
-      legacy_.params = {{"period", static_cast<double>(entry_.dynamic_period)}};
-    }
-    legacy_.mask = entry_.mask;
-    components_.push_back({&registry.get(legacy_.model), &legacy_});
-  } else {
-    components_.reserve(entry_.components.size());
-    for (const RealizedFault& fault : entry_.components) {
-      FLIM_REQUIRE(!fault.mask.empty(),
-                   "fault component '" + fault.model + "' has an empty mask");
-      components_.push_back({&registry.get(fault.model), &fault});
-    }
+  FLIM_REQUIRE(!entry_.components.empty(),
+               "fault injector needs at least one fault component");
+  components_.reserve(entry_.components.size());
+  for (const RealizedFault& fault : entry_.components) {
+    FLIM_REQUIRE(!fault.mask.empty(),
+                 "fault component '" + fault.model + "' has an empty mask");
+    components_.push_back({&registry.get(fault.model), &fault});
   }
   FLIM_REQUIRE(components_.size() <= 64,
                "fault stacks are limited to 64 components per layer");

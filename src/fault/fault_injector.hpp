@@ -7,10 +7,7 @@
 // product-term mask planes per active-component signature.
 //
 // All fault behaviour is dispatched polymorphically through the registered
-// FaultModel of each component -- there is no fault-kind switch here. A
-// legacy single-kind entry (empty `components`) is adapted on construction
-// into the matching registered model, which reproduces the pre-registry
-// semantics bit for bit.
+// FaultModel of each component -- there is no fault-kind switch here.
 //
 // Application semantics (see docs/fault-models.md):
 // * kOutputElement -- the paper's implementation: the layer's feature map is
@@ -42,8 +39,8 @@ namespace flim::fault {
 class FaultInjector {
  public:
   /// Resolves the entry's components against the model registry; throws on
-  /// unknown models, unsupported granularity, or an entry with neither a
-  /// legacy mask nor components.
+  /// unknown models, unsupported granularity, an empty component mask, or an
+  /// entry without components.
   explicit FaultInjector(FaultVectorEntry entry);
 
   const FaultVectorEntry& entry() const { return entry_; }
@@ -81,8 +78,7 @@ class FaultInjector {
 
  private:
   /// Resolved view of one component: the registry model plus a pointer
-  /// into entry_.components (or legacy_) -- masks and site_values are
-  /// never copied. The mutex member below makes the injector immovable,
+  /// into entry_.components -- masks and site_values are never copied. The mutex member below makes the injector immovable,
   /// so the pointers stay valid for its whole lifetime.
   struct Component {
     const FaultModel* model = nullptr;
@@ -93,8 +89,6 @@ class FaultInjector {
   std::uint64_t active_signature(std::int64_t execution) const;
 
   FaultVectorEntry entry_;
-  /// The component synthesized from a legacy single-kind entry.
-  RealizedFault legacy_;
   std::vector<Component> components_;
   std::int64_t execution_counter_ = 0;
 

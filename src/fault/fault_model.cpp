@@ -135,8 +135,7 @@ namespace {
 /// site is a discrete Gaussian offset from a uniformly chosen center.
 /// Slots falling off-grid or onto an occupied slot are redrawn; if the
 /// clusters saturate (tiny radius, many faults) the remainder falls back
-/// to uniform placement so the exact count is always honored. RNG draw
-/// order is identical to the pre-registry FaultGenerator.
+/// to uniform placement so the exact count is always honored.
 std::vector<std::int64_t> place_clustered(const lim::CrossbarGeometry& grid,
                                           std::int64_t marked,
                                           int cluster_count,

@@ -1,9 +1,8 @@
 // Composable fault models: the polymorphic core of the fault subsystem.
 //
-// The paper encodes three fault kinds (bit-flip, stuck-at, dynamic) and the
-// original implementation hardwired that taxonomy into FaultKind switches
-// threaded through the generator, the injector, both engines, and the CLI.
-// A FaultModel replaces the switch: each model is a plugin that owns
+// The paper encodes three fault kinds (bit-flip, stuck-at, dynamic). Rather
+// than switching on that taxonomy in the injector, both engines and the CLI,
+// each kind is a FaultModel: a plugin that owns
 //   * its parameter schema (declarative, range-checked, self-documenting),
 //   * its mask realization (how fault sites are drawn on the virtual grid),
 //   * its time semantics (when the realized faults are sensitized), and
@@ -12,9 +11,10 @@
 // Models are registered by name (fault_registry.hpp) and compose into an
 // ordered FaultStack parsed from expressions such as
 // "stuckat(rate=5e-4,sa1=0.7)+drift(tau=2000)"; the stack is realized per
-// layer into RealizedFault components that the injector and engines apply
-// polymorphically. The three paper kinds are ordinary registered models and
-// reproduce the legacy switch bit for bit.
+// layer into RealizedFault components -- the only form a fault vector takes
+// -- that the injector and engines apply polymorphically. The three paper
+// kinds are ordinary registered models; a FaultSpec lowers to one of them
+// through stack_from_spec.
 #pragma once
 
 #include <cstdint>
@@ -152,8 +152,8 @@ class FaultModel {
 
   /// Draws one realized component on `ctx.grid`. The RNG consumption order
   /// is part of each model's contract: for the three paper kinds it is
-  /// exactly the legacy FaultGenerator order, which keeps campaign CSVs
-  /// byte-identical across the API boundary.
+  /// pinned by committed checksums (fault_test, exp_test), which keeps
+  /// campaign CSVs byte-identical across releases.
   virtual RealizedFault realize(const ModelParams& params,
                                 const RealizeContext& ctx,
                                 core::Rng& rng) const = 0;
@@ -190,8 +190,8 @@ class FaultModel {
 /// Draws `marked` distinct flat slot indices on `ctx.grid` honoring the
 /// effective distribution (ctx defaults, overridable via the model's
 /// `clustered`/`clusters`/`radius` parameters). Shared by every placement-
-/// based model; uniform placement consumes the RNG exactly like the legacy
-/// generator.
+/// based model; uniform placement draws exactly `marked` samples without
+/// replacement.
 std::vector<std::int64_t> draw_sites(const ModelParams& params,
                                      const RealizeContext& ctx,
                                      std::int64_t marked, core::Rng& rng);

@@ -31,9 +31,8 @@ void add_placement_params(std::vector<ParamInfo>& params) {
 
 /// Shared realization skeleton of the paper-kind models: draw the marked
 /// sites, mark them (flips, or stuck cells split by `sa1`), then mark whole
-/// faulty rows/columns. The RNG draw order is exactly the legacy
-/// FaultGenerator order -- masks are bit-identical to the pre-registry
-/// switch for the same seed.
+/// faulty rows/columns. The RNG draw order is part of the contract: the
+/// pinned realizations in fault_test and every campaign CSV depend on it.
 RealizedFault realize_placed(const ModelInfo& meta, const ModelParams& params,
                              const RealizeContext& ctx, core::Rng& rng,
                              bool stuck) {
@@ -666,6 +665,7 @@ std::string model_name_for(FaultKind kind) {
 }
 
 FaultStack stack_from_spec(const FaultSpec& spec) {
+  validate(spec);
   const FaultRegistry& registry = FaultRegistry::instance();
   std::vector<std::pair<std::string, double>> params;
   params.emplace_back("rate", spec.injection_rate);

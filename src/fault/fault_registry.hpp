@@ -124,13 +124,14 @@ FaultStack parse_fault_expr(const std::string& expr);
 /// parse + canonical in one step (validates `expr` as a side effect).
 std::string canonical_fault_expr(const std::string& expr);
 
-/// The registered model name of a legacy FaultKind.
+/// The registered model name of a paper FaultKind.
 std::string model_name_for(FaultKind kind);
 
-/// Converts a legacy single-kind FaultSpec into the equivalent one-model
-/// stack ("bitflip(rate=...,rows=...,cols=...)" etc.). The realized masks
-/// and runtime behaviour are bit-identical to the pre-registry generator
-/// and injector.
+/// Lowers a single-kind FaultSpec to the equivalent one-model stack
+/// ("bitflip(cols=...,rate=...,rows=...)" etc.) after validate(spec) --
+/// the one place FaultSpec meets the fault models. Placement settings
+/// (distribution, clusters) are not part of the stack; they travel in the
+/// RealizeContext.
 FaultStack stack_from_spec(const FaultSpec& spec);
 
 }  // namespace flim::fault

@@ -6,17 +6,19 @@
 
 #include "core/check.hpp"
 #include "core/report.hpp"
+#include "fault/fault_registry.hpp"
 
 namespace flim::fault {
 
 namespace {
 
 constexpr std::uint64_t kMagic = 0x314356464d494c46ull;  // "FLIMFVC1"
-// Version 1: legacy single-kind entries. Version 2 appends the realized
-// fault-model components; it is written only when an entry carries any, so
-// legacy files stay byte-identical.
-constexpr std::uint32_t kVersionLegacy = 1;
+// Version 1: one single-kind fault per entry (read-only). Version 2 appends
+// the realized fault-model components.
+constexpr std::uint32_t kVersionSingleKind = 1;
 constexpr std::uint32_t kVersionComponents = 2;
+// Slots per mask accepted on load.
+constexpr std::int64_t kMaxMaskSlots = (std::int64_t{1} << 32) - 1;
 
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) out.push_back((v >> (8 * i)) & 0xff);
@@ -59,12 +61,13 @@ class Reader {
     pos_ += len;
     return v;
   }
-
- private:
-  void require(std::size_t n) {
-    FLIM_REQUIRE(pos_ + n <= bytes_.size(),
+  /// Throws unless `n` more bytes remain.
+  void require(std::size_t n) const {
+    FLIM_REQUIRE(n <= bytes_.size() - pos_,
                  "fault vector file truncated or corrupt");
   }
+
+ private:
   const std::vector<std::uint8_t>& bytes_;
   std::size_t pos_ = 0;
 };
@@ -117,10 +120,11 @@ void put_mask(std::vector<std::uint8_t>& out, const FaultMask& mask) {
 FaultMask read_mask(Reader& r) {
   const auto rows = static_cast<std::int64_t>(r.u64());
   const auto cols = static_cast<std::int64_t>(r.u64());
-  FLIM_REQUIRE(rows > 0 && cols > 0 && rows * cols < (std::int64_t{1} << 32),
+  FLIM_REQUIRE(rows > 0 && cols > 0 && rows <= kMaxMaskSlots / cols,
                "implausible mask dimensions in fault vector file");
-  FaultMask mask(rows, cols);
   const auto n = static_cast<std::size_t>(rows * cols);
+  r.require(3 * ((n + 7) / 8));  // all three planes, before allocating
+  FaultMask mask(rows, cols);
   mask.mutable_flip_plane() = read_packed_plane(r, n);
   mask.mutable_sa0_plane() = read_packed_plane(r, n);
   mask.mutable_sa1_plane() = read_packed_plane(r, n);
@@ -130,7 +134,6 @@ FaultMask read_mask(Reader& r) {
 }  // namespace
 
 std::string FaultVectorEntry::describe() const {
-  if (components.empty()) return to_string(kind);
   std::string out;
   for (const RealizedFault& c : components) {
     if (!out.empty()) out += "+";
@@ -149,17 +152,17 @@ std::string FaultVectorEntry::describe() const {
 }
 
 FaultMask FaultVectorEntry::combined_mask() const {
-  if (components.empty()) return mask;
-  const FaultMask& first = components.front().mask;
-  FaultMask combined(first.rows(), first.cols());
-  for (const RealizedFault& c : components) {
-    FLIM_REQUIRE(c.mask.rows() == first.rows() &&
-                     c.mask.cols() == first.cols(),
+  if (components.empty()) return FaultMask();
+  FaultMask combined = components.front().mask;
+  for (std::size_t i = 1; i < components.size(); ++i) {
+    const FaultMask& mask = components[i].mask;
+    FLIM_REQUIRE(mask.rows() == combined.rows() &&
+                     mask.cols() == combined.cols(),
                  "fault components of one entry must share a mask grid");
-    for (std::int64_t slot = 0; slot < c.mask.num_slots(); ++slot) {
-      if (c.mask.flip(slot)) combined.set_flip(slot, true);
-      if (c.mask.sa0(slot)) combined.set_sa0(slot, true);
-      if (c.mask.sa1(slot)) combined.set_sa1(slot, true);
+    for (std::int64_t slot = 0; slot < mask.num_slots(); ++slot) {
+      if (mask.flip(slot)) combined.set_flip(slot, true);
+      if (mask.sa0(slot)) combined.set_sa0(slot, true);
+      if (mask.sa1(slot)) combined.set_sa1(slot, true);
     }
   }
   return combined;
@@ -174,44 +177,33 @@ const FaultVectorEntry* FaultVectorFile::find(
 }
 
 std::vector<std::uint8_t> FaultVectorFile::serialize() const {
-  bool any_components = false;
-  for (const auto& e : entries_) {
-    if (!e.components.empty()) any_components = true;
-  }
-  const std::uint32_t version =
-      any_components ? kVersionComponents : kVersionLegacy;
-
   std::vector<std::uint8_t> out;
   put_u64(out, kMagic);
-  put_u32(out, version);
+  put_u32(out, kVersionComponents);
   put_u32(out, static_cast<std::uint32_t>(entries_.size()));
+  const FaultMask stand_in(1, 1);
   for (const auto& e : entries_) {
     put_u32(out, static_cast<std::uint32_t>(e.layer_name.size()));
     out.insert(out.end(), e.layer_name.begin(), e.layer_name.end());
-    out.push_back(static_cast<std::uint8_t>(e.kind));
+    out.push_back(static_cast<std::uint8_t>(FaultKind::kBitFlip));
     out.push_back(static_cast<std::uint8_t>(e.granularity));
-    put_u32(out, static_cast<std::uint32_t>(e.dynamic_period));
-    // Component entries carry an empty legacy mask; persist a 1x1 stand-in
-    // so the version-1 "positive dimensions" invariant holds everywhere.
-    const FaultMask placeholder(1, 1);
-    put_mask(out, e.mask.empty() ? placeholder : e.mask);
-    if (version == kVersionComponents) {
-      put_u32(out, static_cast<std::uint32_t>(e.components.size()));
-      for (const RealizedFault& c : e.components) {
-        put_u32(out, static_cast<std::uint32_t>(c.model.size()));
-        out.insert(out.end(), c.model.begin(), c.model.end());
-        put_u32(out, static_cast<std::uint32_t>(c.params.size()));
-        for (const auto& [key, value] : c.params) {
-          put_u32(out, static_cast<std::uint32_t>(key.size()));
-          out.insert(out.end(), key.begin(), key.end());
-          put_u64(out, bit_cast_u64(value));
-        }
-        put_u64(out, static_cast<std::uint64_t>(c.first_active));
-        put_mask(out, c.mask);
-        put_u64(out, static_cast<std::uint64_t>(c.site_values.size()));
-        for (const std::int64_t v : c.site_values) {
-          put_u64(out, static_cast<std::uint64_t>(v));
-        }
+    put_u32(out, 0);  // dynamic period
+    put_mask(out, stand_in);
+    put_u32(out, static_cast<std::uint32_t>(e.components.size()));
+    for (const RealizedFault& c : e.components) {
+      put_u32(out, static_cast<std::uint32_t>(c.model.size()));
+      out.insert(out.end(), c.model.begin(), c.model.end());
+      put_u32(out, static_cast<std::uint32_t>(c.params.size()));
+      for (const auto& [key, value] : c.params) {
+        put_u32(out, static_cast<std::uint32_t>(key.size()));
+        out.insert(out.end(), key.begin(), key.end());
+        put_u64(out, bit_cast_u64(value));
+      }
+      put_u64(out, static_cast<std::uint64_t>(c.first_active));
+      put_mask(out, c.mask);
+      put_u64(out, static_cast<std::uint64_t>(c.site_values.size()));
+      for (const std::int64_t v : c.site_values) {
+        put_u64(out, static_cast<std::uint64_t>(v));
       }
     }
   }
@@ -223,7 +215,7 @@ FaultVectorFile FaultVectorFile::deserialize(
   Reader r(bytes);
   FLIM_REQUIRE(r.u64() == kMagic, "not a FLIM fault vector file");
   const std::uint32_t version = r.u32();
-  FLIM_REQUIRE(version == kVersionLegacy || version == kVersionComponents,
+  FLIM_REQUIRE(version == kVersionSingleKind || version == kVersionComponents,
                "unsupported fault vector file version");
   const std::uint32_t count = r.u32();
   FaultVectorFile file;
@@ -231,18 +223,34 @@ FaultVectorFile FaultVectorFile::deserialize(
     FaultVectorEntry e;
     const std::uint32_t name_len = r.u32();
     e.layer_name = r.str(name_len);
-    e.kind = static_cast<FaultKind>(r.u8());
-    e.granularity = static_cast<FaultGranularity>(r.u8());
-    e.dynamic_period = static_cast<int>(r.u32());
-    e.mask = read_mask(r);
-    if (version == kVersionComponents) {
+    const std::uint8_t kind = r.u8();
+    FLIM_REQUIRE(kind <= static_cast<std::uint8_t>(FaultKind::kDynamic),
+                 "unknown fault kind in fault vector file");
+    const std::uint8_t granularity = r.u8();
+    FLIM_REQUIRE(granularity <= static_cast<std::uint8_t>(
+                                    FaultGranularity::kProductTerm),
+                 "unknown fault granularity in fault vector file");
+    e.granularity = static_cast<FaultGranularity>(granularity);
+    const std::uint32_t period = r.u32();
+    FaultMask mask = read_mask(r);
+    if (version == kVersionSingleKind) {
+      // The single-kind triple is one component of the matching registered
+      // model; only dynamic carries a parameter, its period.
+      RealizedFault c;
+      c.model = model_name_for(static_cast<FaultKind>(kind));
+      if (static_cast<FaultKind>(kind) == FaultKind::kDynamic) {
+        c.params = {{"period", static_cast<double>(period)}};
+      }
+      c.mask = std::move(mask);
+      e.components.push_back(std::move(c));
+    } else {
+      // Counts from the file reserve nothing: each item is bounds-checked
+      // as it is read.
       const std::uint32_t component_count = r.u32();
-      e.components.reserve(component_count);
       for (std::uint32_t c = 0; c < component_count; ++c) {
         RealizedFault rf;
         rf.model = r.str(r.u32());
         const std::uint32_t param_count = r.u32();
-        rf.params.reserve(param_count);
         for (std::uint32_t p = 0; p < param_count; ++p) {
           std::string key = r.str(r.u32());
           rf.params.emplace_back(std::move(key), bit_cast_double(r.u64()));
@@ -257,17 +265,12 @@ FaultVectorFile FaultVectorFile::deserialize(
                          n_values == static_cast<std::uint64_t>(
                                          rf.mask.num_slots()),
                      "implausible site-value count in fault vector file");
+        r.require(static_cast<std::size_t>(n_values) * 8);
         rf.site_values.reserve(static_cast<std::size_t>(n_values));
         for (std::uint64_t v = 0; v < n_values; ++v) {
           rf.site_values.push_back(static_cast<std::int64_t>(r.u64()));
         }
         e.components.push_back(std::move(rf));
-      }
-      // A component entry round-trips its placeholder legacy mask back to
-      // empty so equality with the in-memory original holds.
-      if (!e.components.empty() && e.mask.rows() == 1 && e.mask.cols() == 1 &&
-          !e.mask.any()) {
-        e.mask = FaultMask();
       }
     }
     file.add(std::move(e));

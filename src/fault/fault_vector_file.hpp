@@ -21,9 +21,11 @@
 //       i64 first_active
 //       u64 rows, u64 cols, the three bit-packed planes
 //       u64 site_value_count; i64 site values
-// Version 1 is still written whenever no entry carries components, so files
-// produced by the legacy single-kind API stay byte-identical and loadable
-// by older builds.
+// Only version 2 is written. Its kind, dynamic_period and mask fields are
+// stand-ins (bit-flip, 0, a clear 1x1 mask) that keep the header readable by
+// older builds. Version 1 is read-only: each of its entries is one fault of
+// the paper taxonomy and loads as a single component of the matching
+// registered model.
 #pragma once
 
 #include <string>
@@ -35,39 +37,24 @@
 
 namespace flim::fault {
 
-/// One named fault entry (typically one per BNN layer).
-///
-/// Two representations coexist:
-/// * legacy single-kind: `components` is empty and (kind, dynamic_period,
-///   mask) describe one fault of the paper taxonomy; the injector
-///   synthesizes the matching registered model, so behaviour is identical
-///   to the pre-registry switch.
-/// * composable: `components` holds the realized models of a FaultStack in
-///   application order; kind/mask above are ignored.
+/// One named fault entry (typically one per BNN layer): the paper's fault
+/// vector, held as the realized components of a FaultStack in application
+/// order.
 struct FaultVectorEntry {
   std::string layer_name;
-  FaultKind kind = FaultKind::kBitFlip;
   FaultGranularity granularity = FaultGranularity::kOutputElement;
-  int dynamic_period = 0;
-  FaultMask mask;
-  /// Realized fault-model components (composable representation).
+  /// Realized fault-model components, in stack order.
   std::vector<RealizedFault> components;
 
-  /// Canonical description: the component stack expression, or the legacy
-  /// kind name.
+  /// Canonical description: the component stack expression.
   std::string describe() const;
 
-  /// Union of all fault planes (the legacy mask, or every component's
-  /// planes OR-ed together) -- the static defect footprint consumers like
-  /// the canary monitor and ECC scrubber see.
+  /// Union of every component's planes -- the static defect footprint
+  /// consumers like the canary monitor and ECC scrubber see. Empty for an
+  /// entry without components.
   FaultMask combined_mask() const;
 
-  bool operator==(const FaultVectorEntry& other) const {
-    return layer_name == other.layer_name && kind == other.kind &&
-           granularity == other.granularity &&
-           dynamic_period == other.dynamic_period && mask == other.mask &&
-           components == other.components;
-  }
+  bool operator==(const FaultVectorEntry& other) const = default;
 };
 
 /// A reusable set of fault vectors.

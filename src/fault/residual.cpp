@@ -71,10 +71,6 @@ FaultMask apply_word_residual(const FaultMask& mask,
 void apply_entry_residual(FaultVectorEntry& entry,
                           const ResidualOptions& options,
                           ResidualStats* stats) {
-  if (entry.components.empty()) {
-    entry.mask = apply_word_residual(entry.mask, options, stats);
-    return;
-  }
   const FaultMask combined = entry.combined_mask();
   const FaultMask repaired = apply_word_residual(combined, options, stats);
   const auto faulty = [](const FaultMask& mask, std::int64_t slot) {

@@ -51,13 +51,12 @@ FaultMask apply_word_residual(const FaultMask& mask,
                               const ResidualOptions& options,
                               ResidualStats* stats = nullptr);
 
-/// Residual application over one fault-vector entry, handling both entry
-/// representations: a legacy single-mask entry scrubs `entry.mask`
-/// directly; a composable entry scrubs the *physical* word -- the union of
-/// every component's planes, so a word holding faults from two components
-/// is uncorrectable even when each component alone looks in-radius -- and
-/// then clears per-component bits only at the slots the combined scrub
-/// repaired.
+/// Residual application over one fault-vector entry: scrubs the *physical*
+/// word -- the union of every component's planes, so a word holding faults
+/// from two components is uncorrectable even when each component alone
+/// looks in-radius -- and then clears per-component bits only at the slots
+/// the combined scrub repaired. For a one-component entry this equals
+/// apply_word_residual on the component's mask.
 void apply_entry_residual(FaultVectorEntry& entry,
                           const ResidualOptions& options,
                           ResidualStats* stats = nullptr);

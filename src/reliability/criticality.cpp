@@ -5,14 +5,14 @@
 #include "bnn/flim_engine.hpp"
 #include "core/check.hpp"
 #include "core/rng.hpp"
-#include "fault/fault_generator.hpp"
+#include "fault/fault_registry.hpp"
 
 namespace flim::reliability {
 
 namespace {
 
 /// Marks the given columns faulty: stuck cells of per-seed polarity for
-/// kStuckAt, flips otherwise (matching FaultGenerator's plane conventions).
+/// kStuckAt, flips otherwise (the planes the paper kinds realize).
 fault::FaultMask columns_mask(const lim::CrossbarGeometry& grid,
                               const std::vector<std::int64_t>& columns,
                               fault::FaultKind kind, core::Rng& rng) {
@@ -43,10 +43,12 @@ double evaluate_columns(const bnn::Model& model, const data::Batch& batch,
   double total = 0.0;
   for (int rep = 0; rep < config.repetitions; ++rep) {
     bnn::FlimEngine engine;
+    fault::RealizedFault component;
+    component.model = fault::model_name_for(config.kind);
+    component.mask = columns_mask(config.grid, columns, config.kind, rng);
     fault::FaultVectorEntry entry;
     entry.layer_name = layer_name;
-    entry.kind = config.kind;
-    entry.mask = columns_mask(config.grid, columns, config.kind, rng);
+    entry.components.push_back(std::move(component));
     engine.set_layer_fault(std::move(entry));
     total += model.evaluate(batch, engine);
   }

@@ -172,18 +172,20 @@ LifetimeCurve LifetimeSimulator::simulate(
       auto engine = std::make_unique<bnn::FlimEngine>();
       for (std::size_t li = 0; li < layers.size(); ++li) {
         std::int64_t stuck_effective = 0;
-        fault::FaultVectorEntry entry;
-        entry.layer_name = layers[li].layer_name;
-        entry.kind = fault::FaultKind::kStuckAt;
-        entry.mask = effective_mask(state[static_cast<std::size_t>(r)][li],
-                                    config_.grid, mitigation,
-                                    &stuck_effective);
+        fault::RealizedFault component;
+        component.model = "stuckat";
+        component.mask = effective_mask(state[static_cast<std::size_t>(r)][li],
+                                        config_.grid, mitigation,
+                                        &stuck_effective);
         if (r == 0) {
-          point.transient_flips += entry.mask.count_flip();
+          point.transient_flips += component.mask.count_flip();
           point.stuck_cells_raw +=
               state[static_cast<std::size_t>(r)][li].count_stuck();
           point.stuck_cells_effective += stuck_effective;
         }
+        fault::FaultVectorEntry entry;
+        entry.layer_name = layers[li].layer_name;
+        entry.components.push_back(std::move(component));
         engine->set_layer_fault(std::move(entry));
       }
       engines.push_back(std::move(engine));

@@ -4,12 +4,15 @@
 //
 // TFaultInjection is a training layer placed directly after a binarized
 // layer's accumulator output. During the forward pass it applies the same
-// output-element fault semantics as the inference-time FaultInjector (flips
-// negate, stuck-at pins to the full-scale ∓K accumulator value) using the
-// identical virtual-crossbar slot mapping, so a network trained with it has
-// seen exactly the fault distribution the deployed crossbar will exhibit.
-// The backward pass is exact: flipped elements propagate negated gradients,
-// pinned elements block the gradient.
+// output-element fault semantics as the inference-time FaultInjector (each
+// component of the entry's fault stack, in order and gated by its model's
+// time semantics: flips negate, stuck-at pins to the full-scale ∓K
+// accumulator value) using the identical virtual-crossbar slot mapping, so
+// a network trained with it has seen exactly the fault distribution the
+// deployed crossbar will exhibit. The backward pass is exact: flipped
+// elements propagate negated gradients, pinned elements block the gradient.
+// Only models with static fault planes apply (ModelInfo::product_term);
+// data-dependent or time-varying ones (readdisturb, drift) are rejected.
 //
 // On conversion the layer disappears (bnn::Identity) by default -- the
 // trained weights carry the robustness -- or can keep the mask for deployed
@@ -25,8 +28,8 @@ namespace flim::train {
 /// during training.
 class TFaultInjection final : public TrainLayer {
  public:
-  /// `entry` carries the mask and fault kind; `full_scale` is the layer's
-  /// product-term count K (the pin magnitude for stuck-at faults).
+  /// `entry` carries the realized fault components; `full_scale` is the
+  /// layer's product-term count K (the pin magnitude for stuck-at faults).
   /// `active_probability` optionally makes injection stochastic per batch
   /// (1.0 = always), drawing from `rng_seed`.
   TFaultInjection(std::string name, fault::FaultVectorEntry entry,
@@ -42,6 +45,8 @@ class TFaultInjection final : public TrainLayer {
 
  private:
   fault::FaultVectorEntry entry_;
+  /// Registry model of each component, in stack order.
+  std::vector<const fault::FaultModel*> models_;
   std::int32_t full_scale_;
   double active_probability_;
   core::Rng rng_;

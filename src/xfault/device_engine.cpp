@@ -32,28 +32,15 @@ void DeviceEngine::inject_device_fault(const std::string& layer_name,
 
 DeviceEngine::LayerState DeviceEngine::make_state(
     const fault::FaultVectorEntry* entry) const {
-  // Resolve the entry's component stack (a legacy single-kind entry adapts
-  // into the matching registered model, exactly like the FLIM injector).
+  // Resolve the entry's component stack against the model registry.
   const fault::FaultRegistry& registry = fault::FaultRegistry::instance();
   std::vector<FlipComponent> components;
   if (entry != nullptr) {
-    if (entry->components.empty()) {
+    for (const fault::RealizedFault& fault : entry->components) {
       FlipComponent component;
-      component.fault.model = fault::model_name_for(entry->kind);
-      if (entry->kind == fault::FaultKind::kDynamic) {
-        component.fault.params = {
-            {"period", static_cast<double>(entry->dynamic_period)}};
-      }
-      component.fault.mask = entry->mask;
-      component.model = &registry.get(component.fault.model);
+      component.model = &registry.get(fault.model);
+      component.fault = fault;
       components.push_back(std::move(component));
-    } else {
-      for (const fault::RealizedFault& fault : entry->components) {
-        FlipComponent component;
-        component.model = &registry.get(fault.model);
-        component.fault = fault;
-        components.push_back(std::move(component));
-      }
     }
     for (const FlipComponent& component : components) {
       const fault::ModelInfo& meta = component.model->info();

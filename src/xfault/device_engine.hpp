@@ -14,8 +14,7 @@
 // semantics, e.g. the dynamic model's period), and its stuck-at planes
 // plant stuck result-cell devices (kStuckAt0/1). Models whose effect does
 // not reduce to that shape (drift, readdisturb) are rejected with a
-// pointer to the FLIM engine. Legacy single-kind entries are adapted to
-// the matching model, bit-identically to the old FaultKind switch.
+// pointer to the FLIM engine.
 //
 // Gate assignment is weight-stationary and identical to the FLIM
 // product-term mapping (gate = (channel*K + term) mod gates), so FLIM and

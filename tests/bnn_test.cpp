@@ -17,7 +17,7 @@
 #include "bnn/pooling.hpp"
 #include "bnn/serialize.hpp"
 #include "core/rng.hpp"
-#include "fault/fault_generator.hpp"
+#include "fault/fault_vector_file.hpp"
 #include "tensor/ops.hpp"
 
 namespace flim::bnn {
@@ -264,6 +264,19 @@ TEST(FlimEngine, ZeroFaultsEqualsReference) {
   EXPECT_EQ(dense.forward(x, ref), dense.forward(x, flim));
 }
 
+/// One-component fault entry for `layer` on a clear rows x cols grid.
+fault::FaultVectorEntry fault_entry(const std::string& layer,
+                                    const std::string& model,
+                                    std::int64_t rows, std::int64_t cols) {
+  fault::RealizedFault component;
+  component.model = model;
+  component.mask = fault::FaultMask(rows, cols);
+  fault::FaultVectorEntry entry;
+  entry.layer_name = layer;
+  entry.components.push_back(std::move(component));
+  return entry;
+}
+
 TEST(FlimEngine, CleanMaskEqualsReference) {
   // Even with an (all-zero) mask configured, results must be identical.
   const FloatTensor weights = random_pm1(Shape{6, 30}, 9);
@@ -271,9 +284,7 @@ TEST(FlimEngine, CleanMaskEqualsReference) {
       one_layer(std::make_unique<BinaryDense>("layer", 30, 6, weights));
   const FloatTensor x = random_float(Shape{4, 30}, 10);
 
-  fault::FaultVectorEntry entry;
-  entry.layer_name = "layer";
-  entry.mask = fault::FaultMask(5, 5);
+  fault::FaultVectorEntry entry = fault_entry("layer", "bitflip", 5, 5);
   for (const auto granularity : {fault::FaultGranularity::kOutputElement,
                                  fault::FaultGranularity::kProductTerm}) {
     entry.granularity = granularity;
@@ -290,10 +301,10 @@ TEST(FlimEngine, FullFlipMaskNegatesEverything) {
       one_layer(std::make_unique<BinaryDense>("layer", 20, 4, weights));
   const FloatTensor x = random_float(Shape{2, 20}, 12);
 
-  fault::FaultVectorEntry entry;
-  entry.layer_name = "layer";
-  entry.mask = fault::FaultMask(2, 2);
-  for (std::int64_t s = 0; s < 4; ++s) entry.mask.set_flip(s, true);
+  fault::FaultVectorEntry entry = fault_entry("layer", "bitflip", 2, 2);
+  for (std::int64_t s = 0; s < 4; ++s) {
+    entry.components[0].mask.set_flip(s, true);
+  }
 
   ReferenceEngine ref;
   FlimEngine flim;
@@ -313,10 +324,8 @@ TEST(FlimEngine, FaultsOnlyTouchConfiguredLayer) {
       one_layer(std::make_unique<BinaryDense>("clean", 20, 4, weights));
   const FloatTensor x = random_float(Shape{2, 20}, 14);
 
-  fault::FaultVectorEntry entry;
-  entry.layer_name = "faulty";
-  entry.mask = fault::FaultMask(2, 2);
-  entry.mask.set_flip(0, true);
+  fault::FaultVectorEntry entry = fault_entry("faulty", "bitflip", 2, 2);
+  entry.components[0].mask.set_flip(0, true);
 
   FlimEngine flim;
   flim.set_layer_fault(entry);
@@ -331,13 +340,10 @@ TEST(FlimEngine, ResetTimeRestartsDynamicFaults) {
       one_layer(std::make_unique<BinaryDense>("layer", 10, 2, weights));
   const FloatTensor x = random_float(Shape{1, 10}, 16);
 
-  fault::FaultVectorEntry entry;
-  entry.layer_name = "layer";
-  entry.kind = fault::FaultKind::kDynamic;
-  entry.dynamic_period = 2;
-  entry.mask = fault::FaultMask(1, 2);
-  entry.mask.set_flip(0, true);
-  entry.mask.set_flip(1, true);
+  fault::FaultVectorEntry entry = fault_entry("layer", "dynamic", 1, 2);
+  entry.components[0].params = {{"period", 2.0}};
+  entry.components[0].mask.set_flip(0, true);
+  entry.components[0].mask.set_flip(1, true);
 
   FlimEngine flim;
   flim.set_layer_fault(entry);

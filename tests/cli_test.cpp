@@ -194,14 +194,42 @@ TEST(Cli, GenerateAndInspectRoundTrip) {
   const fault::FaultVectorFile file = fault::FaultVectorFile::load(path);
   EXPECT_EQ(file.size(), 2u);
   ASSERT_NE(file.find("conv1"), nullptr);
-  EXPECT_EQ(file.find("conv1")->mask.count_sa0() +
-                file.find("conv1")->mask.count_sa1(),
-            16);  // 25% of 64
+  ASSERT_EQ(file.find("conv1")->components.size(), 1u);
+  const fault::FaultMask& mask = file.find("conv1")->components[0].mask;
+  EXPECT_EQ(mask.count_sa0() + mask.count_sa1(), 16);  // 25% of 64
 
   std::vector<const char*> inspect{"flim_cli", "inspect", "--file",
                                    path.c_str()};
   EXPECT_EQ(cmd_inspect(Args::parse(4, inspect.data())), 0);
   std::filesystem::remove(path);
+}
+
+// The single-kind flags are sugar for the one-model stack they lower to:
+// both spellings write the same file, byte for byte.
+TEST(Cli, SingleKindFlagsWriteTheSameFileAsTheirExpression) {
+  const std::string flags_path = ::testing::TempDir() + "/cli_sugar_flags.bin";
+  const std::string expr_path = ::testing::TempDir() + "/cli_sugar_expr.bin";
+  ASSERT_EQ(cmd_generate(parse({"generate", "--out", flags_path.c_str(),
+                                "--layers", "conv1,dense0", "--kind",
+                                "stuckat", "--rate", "0.05", "--sa1-fraction",
+                                "0.7", "--seed", "5"})),
+            0);
+  ASSERT_EQ(cmd_generate(parse({"generate", "--out", expr_path.c_str(),
+                                "--layers", "conv1,dense0", "--fault",
+                                "stuckat(rate=0.05,sa1=0.7,rows=0,cols=0)",
+                                "--seed", "5"})),
+            0);
+  const auto slurp = [](const std::string& p) {
+    std::ifstream in(p, std::ios::binary);
+    std::ostringstream out;
+    out << in.rdbuf();
+    return out.str();
+  };
+  const std::string bytes = slurp(flags_path);
+  EXPECT_FALSE(bytes.empty());
+  EXPECT_EQ(bytes, slurp(expr_path));
+  std::filesystem::remove(flags_path);
+  std::filesystem::remove(expr_path);
 }
 
 TEST(Cli, FaultsListsDescribesAndValidatesExpressions) {
@@ -373,12 +401,15 @@ TEST(Cli, ScrubPipelineReducesFaultyBits) {
   const fault::FaultVectorFile after = fault::FaultVectorFile::load(out_path);
   ASSERT_EQ(after.size(), 1u);
   const auto faulty_bits = [](const fault::FaultVectorEntry& e) {
-    return e.mask.count_flip() + e.mask.count_sa0() + e.mask.count_sa1();
+    const fault::FaultMask mask = e.combined_mask();
+    return mask.count_flip() + mask.count_sa0() + mask.count_sa1();
   };
   EXPECT_LT(faulty_bits(*after.find("conv1")),
             faulty_bits(*before.find("conv1")));
   // Metadata survives the scrub.
-  EXPECT_EQ(after.find("conv1")->kind, before.find("conv1")->kind);
+  EXPECT_EQ(after.find("conv1")->describe(), before.find("conv1")->describe());
+  EXPECT_EQ(after.find("conv1")->granularity,
+            before.find("conv1")->granularity);
   std::filesystem::remove(in_path);
   std::filesystem::remove(out_path);
 }

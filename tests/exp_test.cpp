@@ -10,7 +10,7 @@
 #include "core/sysinfo.hpp"
 #include "data/synthetic_mnist.hpp"
 #include "exp/scenario.hpp"
-#include "fault/fault_generator.hpp"
+#include "fault/fault_registry.hpp"
 #include "models/zoo.hpp"
 
 namespace flim::exp {
@@ -51,9 +51,12 @@ TEST(EngineFactory, ValidatesSpecs) {
 TEST(EngineFactory, ReferenceRejectsFaultVectors) {
   EngineSpec spec;
   spec.backend = Backend::kReference;
+  fault::RealizedFault component;
+  component.model = "bitflip";
+  component.mask = fault::FaultMask(4, 4);
   fault::FaultVectorEntry entry;
   entry.layer_name = "layer";
-  entry.mask = fault::FaultMask(4, 4);
+  entry.components.push_back(component);
   fault::FaultVectorFile vectors;
   vectors.add(entry);
   EXPECT_THROW(make_engine(spec, vectors), std::invalid_argument);
@@ -72,19 +75,15 @@ FloatTensor random_pm1(const Shape& shape, std::uint64_t seed) {
 /// Random product-term (gate-grid) fault vectors for one layer.
 fault::FaultVectorFile gate_vectors(fault::FaultKind kind, double rate,
                                     std::uint64_t seed) {
-  fault::FaultGenerator gen({3, 4});
   fault::FaultSpec spec;
   spec.kind = kind;
   spec.injection_rate = rate;
-  spec.granularity = fault::FaultGranularity::kProductTerm;
+  fault::RealizeContext ctx;
+  ctx.grid = {3, 4};
   core::Rng rng(seed);
-  fault::FaultVectorEntry entry;
-  entry.layer_name = "layer";
-  entry.kind = kind;
-  entry.granularity = spec.granularity;
-  entry.mask = gen.generate(spec, rng);
   fault::FaultVectorFile file;
-  file.add(std::move(entry));
+  file.add(fault::stack_from_spec(spec).realize_entry(
+      "layer", fault::FaultGranularity::kProductTerm, ctx, rng));
   return file;
 }
 

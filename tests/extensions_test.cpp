@@ -9,7 +9,7 @@
 #include "bnn/redundancy.hpp"
 #include "core/rng.hpp"
 #include "data/synthetic_mnist.hpp"
-#include "fault/fault_generator.hpp"
+#include "fault/fault_registry.hpp"
 #include "models/zoo.hpp"
 #include "train/fault_training.hpp"
 #include "train/trainer.hpp"
@@ -20,18 +20,21 @@ namespace {
 using tensor::FloatTensor;
 using tensor::Shape;
 
-fault::FaultVectorEntry entry_with(fault::FaultKind kind, std::int64_t rows,
+/// A one-component entry of `model` on a clear rows x cols grid.
+fault::FaultVectorEntry entry_with(const std::string& model, std::int64_t rows,
                                    std::int64_t cols) {
+  fault::RealizedFault component;
+  component.model = model;
+  component.mask = fault::FaultMask(rows, cols);
   fault::FaultVectorEntry e;
   e.layer_name = "layer";
-  e.kind = kind;
-  e.mask = fault::FaultMask(rows, cols);
+  e.components.push_back(std::move(component));
   return e;
 }
 
 TEST(TrainFaultInjection, FlipNegatesForwardAndGradient) {
-  fault::FaultVectorEntry e = entry_with(fault::FaultKind::kBitFlip, 1, 4);
-  e.mask.set_flip(1, true);
+  fault::FaultVectorEntry e = entry_with("bitflip", 1, 4);
+  e.components[0].mask.set_flip(1, true);
   train::TFaultInjection inj("fi", e, /*full_scale=*/10);
 
   FloatTensor x(Shape{1, 4}, std::vector<float>{1, 2, 3, 4});
@@ -47,9 +50,9 @@ TEST(TrainFaultInjection, FlipNegatesForwardAndGradient) {
 }
 
 TEST(TrainFaultInjection, StuckAtPinsAndBlocksGradient) {
-  fault::FaultVectorEntry e = entry_with(fault::FaultKind::kStuckAt, 1, 3);
-  e.mask.set_sa0(0, true);
-  e.mask.set_sa1(2, true);
+  fault::FaultVectorEntry e = entry_with("stuckat", 1, 3);
+  e.components[0].mask.set_sa0(0, true);
+  e.components[0].mask.set_sa1(2, true);
   train::TFaultInjection inj("fi", e, /*full_scale=*/7);
 
   FloatTensor x(Shape{1, 3}, std::vector<float>{5, 5, 5});
@@ -66,9 +69,9 @@ TEST(TrainFaultInjection, StuckAtPinsAndBlocksGradient) {
 }
 
 TEST(TrainFaultInjection, EvalModeIsClean) {
-  fault::FaultVectorEntry e = entry_with(fault::FaultKind::kBitFlip, 1, 2);
-  e.mask.set_flip(0, true);
-  e.mask.set_flip(1, true);
+  fault::FaultVectorEntry e = entry_with("bitflip", 1, 2);
+  e.components[0].mask.set_flip(0, true);
+  e.components[0].mask.set_flip(1, true);
   train::TFaultInjection inj("fi", e, 5);
   FloatTensor x(Shape{2, 2}, 3.0f);
   const FloatTensor y = inj.forward(x, /*training=*/false);
@@ -80,8 +83,8 @@ TEST(TrainFaultInjection, EvalModeIsClean) {
 TEST(TrainFaultInjection, ConvInputUsesSameOpOrderAsInference) {
   // NCHW input: op order is position-major over (pos, channel), matching
   // FaultInjector::apply_output_element.
-  fault::FaultVectorEntry e = entry_with(fault::FaultKind::kBitFlip, 1, 3);
-  e.mask.set_flip(1, true);  // ops 1, 4, 7, ... flip
+  fault::FaultVectorEntry e = entry_with("bitflip", 1, 3);
+  e.components[0].mask.set_flip(1, true);  // ops 1, 4, 7, ... flip
   train::TFaultInjection inj("fi", e, 9);
 
   FloatTensor x(Shape{1, 2, 1, 2}, 1.0f);  // 2 channels, 2 positions
@@ -95,9 +98,9 @@ TEST(TrainFaultInjection, ConvInputUsesSameOpOrderAsInference) {
 }
 
 TEST(TrainFaultInjection, DynamicPeriodSchedulesAcrossBatches) {
-  fault::FaultVectorEntry e = entry_with(fault::FaultKind::kDynamic, 1, 1);
-  e.dynamic_period = 2;
-  e.mask.set_flip(0, true);
+  fault::FaultVectorEntry e = entry_with("dynamic", 1, 1);
+  e.components[0].params = {{"period", 2.0}};
+  e.components[0].mask.set_flip(0, true);
   train::TFaultInjection inj("fi", e, 3);
   FloatTensor x(Shape{1, 1}, 4.0f);
   EXPECT_FLOAT_EQ(inj.forward(x, true)[0], 4.0f);   // execution 0: inactive
@@ -106,8 +109,8 @@ TEST(TrainFaultInjection, DynamicPeriodSchedulesAcrossBatches) {
 }
 
 TEST(TrainFaultInjection, ConvertsToIdentity) {
-  fault::FaultVectorEntry e = entry_with(fault::FaultKind::kBitFlip, 1, 1);
-  e.mask.set_flip(0, true);
+  fault::FaultVectorEntry e = entry_with("bitflip", 1, 1);
+  e.components[0].mask.set_flip(0, true);
   train::TFaultInjection inj("fi", e, 3);
   const bnn::LayerPtr converted = inj.to_inference();
   EXPECT_EQ(converted->type(), "identity");
@@ -117,23 +120,97 @@ TEST(TrainFaultInjection, RejectsBadConfig) {
   fault::FaultVectorEntry empty;
   empty.layer_name = "x";
   EXPECT_THROW(train::TFaultInjection("fi", empty, 1), std::invalid_argument);
-  fault::FaultVectorEntry ok = entry_with(fault::FaultKind::kBitFlip, 1, 1);
+  fault::FaultVectorEntry ok = entry_with("bitflip", 1, 1);
   EXPECT_THROW(train::TFaultInjection("fi", ok, 0), std::invalid_argument);
   EXPECT_THROW(train::TFaultInjection("fi", ok, 1, 1.5), std::invalid_argument);
+  fault::FaultVectorEntry empty_mask = ok;
+  empty_mask.components[0].mask = fault::FaultMask();
+  EXPECT_THROW(train::TFaultInjection("fi", empty_mask, 1),
+               std::invalid_argument);
+}
+
+TEST(TrainFaultInjection, RejectsModelsWithoutStaticPlanes) {
+  // readdisturb flips depend on the data, drift grows with time: neither
+  // reduces to the static planes training applies.
+  fault::RealizeContext ctx;
+  ctx.grid = {4, 4};
+  for (const char* expr :
+       {"readdisturb(rate=0.5)", "bitflip+drift(rate=0.5)"}) {
+    core::Rng rng(1);
+    const fault::FaultVectorEntry e =
+        fault::parse_fault_expr(expr).realize_entry(
+            "layer", fault::FaultGranularity::kOutputElement, ctx, rng);
+    try {
+      train::TFaultInjection("fi", e, 3);
+      ADD_FAILURE() << expr << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("no static fault planes"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+}
+
+TEST(TrainFaultInjection, ComponentsApplyInStackOrder) {
+  // Slot 0: a flip, then a stuck-at-1 pin (the pin wins, the gradient is
+  // blocked). Slot 1: a stuck-at-0 pin, then a flip (the pinned value is
+  // negated, the gradient stays blocked).
+  fault::FaultVectorEntry e = entry_with("bitflip", 1, 2);
+  e.components[0].mask.set_flip(0, true);
+  fault::RealizedFault stuck;
+  stuck.model = "stuckat";
+  stuck.mask = fault::FaultMask(1, 2);
+  stuck.mask.set_sa1(0, true);
+  stuck.mask.set_sa0(1, true);
+  e.components.push_back(stuck);
+  fault::RealizedFault flip = e.components[0];
+  flip.mask = fault::FaultMask(1, 2);
+  flip.mask.set_flip(1, true);
+  e.components.push_back(flip);
+  train::TFaultInjection inj("fi", e, /*full_scale=*/6);
+
+  FloatTensor x(Shape{1, 2}, std::vector<float>{2, 3});
+  const FloatTensor y = inj.forward(x, true);
+  EXPECT_FLOAT_EQ(y[0], 6.0f);
+  EXPECT_FLOAT_EQ(y[1], 6.0f);  // pinned to -6, then flipped
+  const FloatTensor dx = inj.backward(FloatTensor(Shape{1, 2}, 1.0f));
+  EXPECT_FLOAT_EQ(dx[0], 0.0f);
+  EXPECT_FLOAT_EQ(dx[1], 0.0f);
+}
+
+TEST(TrainFaultInjection, EachComponentFollowsItsOwnSchedule) {
+  // A static flip on slot 0 plus a period-2 dynamic flip on slot 1.
+  fault::FaultVectorEntry e = entry_with("bitflip", 1, 2);
+  e.components[0].mask.set_flip(0, true);
+  fault::RealizedFault dynamic;
+  dynamic.model = "dynamic";
+  dynamic.params = {{"period", 2.0}};
+  dynamic.mask = fault::FaultMask(1, 2);
+  dynamic.mask.set_flip(1, true);
+  e.components.push_back(dynamic);
+  train::TFaultInjection inj("fi", e, 3);
+
+  FloatTensor x(Shape{1, 2}, 1.0f);
+  FloatTensor y = inj.forward(x, true);  // execution 0: static only
+  EXPECT_FLOAT_EQ(y[0], -1.0f);
+  EXPECT_FLOAT_EQ(y[1], 1.0f);
+  y = inj.forward(x, true);  // execution 1: both
+  EXPECT_FLOAT_EQ(y[0], -1.0f);
+  EXPECT_FLOAT_EQ(y[1], -1.0f);
+  EXPECT_FLOAT_EQ(inj.backward(FloatTensor(Shape{1, 2}, 1.0f))[1], -1.0f);
 }
 
 TEST(FaultAwareLenet, BuildsTrainsAndConverts) {
-  fault::FaultGenerator gen({32, 32});
+  // The vectors `flim_cli generate --fault` writes: component entries.
+  const fault::FaultStack stack =
+      fault::parse_fault_expr("bitflip(rate=0.1)+stuckat(rate=0.01)");
+  fault::RealizeContext ctx;
+  ctx.grid = {32, 32};
   core::Rng rng(5);
   fault::FaultVectorFile vectors;
   for (const auto& layer : models::lenet_faultable_layers()) {
-    fault::FaultSpec spec;
-    spec.kind = fault::FaultKind::kBitFlip;
-    spec.injection_rate = 0.1;
-    fault::FaultVectorEntry e;
-    e.layer_name = layer;
-    e.mask = gen.generate(spec, rng);
-    vectors.add(std::move(e));
+    vectors.add(stack.realize_entry(
+        layer, fault::FaultGranularity::kOutputElement, ctx, rng));
   }
 
   data::SyntheticMnistOptions opts;
@@ -202,10 +279,8 @@ TEST(MedianVoteEngine, CleanReplicasMatchReference) {
 TEST(MedianVoteEngine, OutvotesSingleFaultyReplica) {
   // Replica 1 has a full flip mask; replicas 0 and 2 are clean. The median
   // must equal the clean result everywhere.
-  fault::FaultVectorEntry e;
-  e.layer_name = "layer";
-  e.mask = fault::FaultMask(2, 2);
-  for (std::int64_t s = 0; s < 4; ++s) e.mask.set_flip(s, true);
+  fault::FaultVectorEntry e = entry_with("bitflip", 2, 2);
+  for (std::int64_t s = 0; s < 4; ++s) e.components[0].mask.set_flip(s, true);
 
   std::vector<std::unique_ptr<bnn::XnorExecutionEngine>> replicas;
   replicas.push_back(std::make_unique<bnn::ReferenceEngine>());
@@ -223,10 +298,8 @@ TEST(MedianVoteEngine, OutvotesSingleFaultyReplica) {
 }
 
 TEST(MedianVoteEngine, MajorityFaultyLosesTheVote) {
-  fault::FaultVectorEntry e;
-  e.layer_name = "layer";
-  e.mask = fault::FaultMask(1, 1);
-  e.mask.set_flip(0, true);
+  fault::FaultVectorEntry e = entry_with("bitflip", 1, 1);
+  e.components[0].mask.set_flip(0, true);
 
   std::vector<std::unique_ptr<bnn::XnorExecutionEngine>> replicas;
   for (int i = 0; i < 3; ++i) {

@@ -1,5 +1,5 @@
-// Unit tests for the fault subsystem: specs, masks, generator, vector files,
-// the model registry + expression language, and the injector.
+// Unit tests for the fault subsystem: specs, masks, realization, vector
+// files, the model registry + expression language, and the injector.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,7 +10,6 @@
 
 #include "core/rng.hpp"
 #include "core/sysinfo.hpp"
-#include "fault/fault_generator.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_mask.hpp"
 #include "fault/fault_model.hpp"
@@ -29,6 +28,18 @@ std::string validation_error(const FaultSpec& spec) {
     return e.what();
   }
   return "";
+}
+
+/// Realizes `spec` on `grid` the way campaigns do: lowered to its one-model
+/// stack, with the placement settings in the realization context.
+FaultMask realize_spec(const FaultSpec& spec, lim::CrossbarGeometry grid,
+                       core::Rng& rng) {
+  RealizeContext ctx;
+  ctx.grid = grid;
+  ctx.distribution = spec.distribution;
+  ctx.cluster_count = spec.cluster_count;
+  ctx.cluster_radius = spec.cluster_radius;
+  return stack_from_spec(spec).realize(ctx, rng).front().mask;
 }
 
 TEST(FaultSpec, ValidationRejectsNonsense) {
@@ -93,78 +104,75 @@ TEST(FaultMask, RowColumnMarking) {
   EXPECT_FALSE(m.flip_at(0, 1));
 }
 
+// The paper's Fault Generator stage: a FaultSpec realized into masks through
+// its one-model stack (realize_spec).
+
 TEST(FaultGenerator, ExactInjectionCount) {
-  FaultGenerator gen({20, 20});
   core::Rng rng(1);
   FaultSpec spec;
   spec.kind = FaultKind::kBitFlip;
   spec.injection_rate = 0.1;
-  const FaultMask m = gen.generate(spec, rng);
+  const FaultMask m = realize_spec(spec, {20, 20}, rng);
   EXPECT_EQ(m.count_flip(), 40);  // exactly 10% of 400
   EXPECT_EQ(m.count_sa0() + m.count_sa1(), 0);
 }
 
 TEST(FaultGenerator, StuckAtSplitsByFraction) {
-  FaultGenerator gen({50, 50});
   core::Rng rng(2);
   FaultSpec spec;
   spec.kind = FaultKind::kStuckAt;
   spec.injection_rate = 0.2;  // 500 cells
   spec.stuck_at_one_fraction = 0.5;
-  const FaultMask m = gen.generate(spec, rng);
+  const FaultMask m = realize_spec(spec, {50, 50}, rng);
   EXPECT_EQ(m.count_sa0() + m.count_sa1(), 500);
   EXPECT_EQ(m.count_flip(), 0);
   EXPECT_NEAR(static_cast<double>(m.count_sa1()), 250.0, 60.0);
 }
 
 TEST(FaultGenerator, StuckAtFractionExtremes) {
-  FaultGenerator gen({10, 10});
   core::Rng rng(3);
   FaultSpec spec;
   spec.kind = FaultKind::kStuckAt;
   spec.injection_rate = 0.5;
   spec.stuck_at_one_fraction = 1.0;
-  FaultMask m = gen.generate(spec, rng);
+  FaultMask m = realize_spec(spec, {10, 10}, rng);
   EXPECT_EQ(m.count_sa1(), 50);
   EXPECT_EQ(m.count_sa0(), 0);
   spec.stuck_at_one_fraction = 0.0;
-  m = gen.generate(spec, rng);
+  m = realize_spec(spec, {10, 10}, rng);
   EXPECT_EQ(m.count_sa0(), 50);
   EXPECT_EQ(m.count_sa1(), 0);
 }
 
 TEST(FaultGenerator, RowsAndColumnsMarked) {
-  FaultGenerator gen({40, 10});
   core::Rng rng(4);
   FaultSpec spec;
   spec.kind = FaultKind::kBitFlip;
   spec.faulty_cols = 2;
-  FaultMask m = gen.generate(spec, rng);
+  FaultMask m = realize_spec(spec, {40, 10}, rng);
   EXPECT_EQ(m.count_flip(), 2 * 40);
   spec = FaultSpec{};
   spec.faulty_rows = 3;
-  m = gen.generate(spec, rng);
+  m = realize_spec(spec, {40, 10}, rng);
   EXPECT_EQ(m.count_flip(), 3 * 10);
 }
 
 TEST(FaultGenerator, DeterministicPerSeed) {
-  FaultGenerator gen({30, 30});
   FaultSpec spec;
   spec.injection_rate = 0.05;
   core::Rng r1(42), r2(42), r3(43);
-  const FaultMask a = gen.generate(spec, r1);
-  const FaultMask b = gen.generate(spec, r2);
-  const FaultMask c = gen.generate(spec, r3);
+  const FaultMask a = realize_spec(spec, {30, 30}, r1);
+  const FaultMask b = realize_spec(spec, {30, 30}, r2);
+  const FaultMask c = realize_spec(spec, {30, 30}, r3);
   EXPECT_EQ(a, b);
   EXPECT_FALSE(a == c);
 }
 
 TEST(FaultGenerator, RejectsTooManyRows) {
-  FaultGenerator gen({4, 4});
   core::Rng rng(5);
   FaultSpec spec;
   spec.faulty_rows = 5;
-  EXPECT_THROW(gen.generate(spec, rng), std::invalid_argument);
+  EXPECT_THROW(realize_spec(spec, {4, 4}, rng), std::invalid_argument);
 }
 
 namespace {
@@ -190,19 +198,17 @@ double mean_pairwise_distance(const FaultMask& mask) {
 }  // namespace
 
 TEST(FaultGenerator, ClusteredKeepsExactCount) {
-  FaultGenerator gen({32, 32});
   core::Rng rng(6);
   FaultSpec spec;
   spec.kind = FaultKind::kBitFlip;
   spec.injection_rate = 0.05;
   spec.distribution = FaultDistribution::kClustered;
   spec.cluster_count = 2;
-  const FaultMask m = gen.generate(spec, rng);
+  const FaultMask m = realize_spec(spec, {32, 32}, rng);
   EXPECT_EQ(m.count_flip(), 51);  // round(0.05 * 1024)
 }
 
 TEST(FaultGenerator, ClusteredSitesAreSpatiallyTighter) {
-  FaultGenerator gen({48, 48});
   FaultSpec uniform;
   uniform.kind = FaultKind::kBitFlip;
   uniform.injection_rate = 0.02;
@@ -218,8 +224,8 @@ TEST(FaultGenerator, ClusteredSitesAreSpatiallyTighter) {
   double clustered_dist = 0.0;
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     core::Rng r1(seed), r2(seed);
-    const FaultMask uniform_mask = gen.generate(uniform, r1);
-    const FaultMask clustered_mask = gen.generate(clustered, r2);
+    const FaultMask uniform_mask = realize_spec(uniform, {48, 48}, r1);
+    const FaultMask clustered_mask = realize_spec(clustered, {48, 48}, r2);
     EXPECT_EQ(uniform_mask.count_flip(), clustered_mask.count_flip());
     uniform_dist += mean_pairwise_distance(uniform_mask);
     clustered_dist += mean_pairwise_distance(clustered_mask);
@@ -229,18 +235,17 @@ TEST(FaultGenerator, ClusteredSitesAreSpatiallyTighter) {
 }
 
 TEST(FaultGenerator, ClusteredIsDeterministicPerSeed) {
-  FaultGenerator gen({24, 24});
   FaultSpec spec;
   spec.injection_rate = 0.1;
   spec.distribution = FaultDistribution::kClustered;
   core::Rng r1(9), r2(9);
-  EXPECT_EQ(gen.generate(spec, r1), gen.generate(spec, r2));
+  EXPECT_EQ(realize_spec(spec, {24, 24}, r1),
+            realize_spec(spec, {24, 24}, r2));
 }
 
 TEST(FaultGenerator, ClusteredSaturationFallsBackToExactCount) {
   // Radius so small that one cluster cannot hold all faults: the uniform
   // fallback must still deliver the exact requested count.
-  FaultGenerator gen({16, 16});
   core::Rng rng(10);
   FaultSpec spec;
   spec.kind = FaultKind::kStuckAt;
@@ -248,20 +253,19 @@ TEST(FaultGenerator, ClusteredSaturationFallsBackToExactCount) {
   spec.distribution = FaultDistribution::kClustered;
   spec.cluster_count = 1;
   spec.cluster_radius = 0.5;
-  const FaultMask m = gen.generate(spec, rng);
+  const FaultMask m = realize_spec(spec, {16, 16}, rng);
   EXPECT_EQ(m.count_sa0() + m.count_sa1(), 128);
 }
 
 TEST(FaultGenerator, ClusterSpecValidation) {
-  FaultGenerator gen({8, 8});
   core::Rng rng(11);
   FaultSpec spec;
   spec.distribution = FaultDistribution::kClustered;
   spec.cluster_radius = 0.0;
-  EXPECT_THROW(gen.generate(spec, rng), std::invalid_argument);
+  EXPECT_THROW(realize_spec(spec, {8, 8}, rng), std::invalid_argument);
   spec.cluster_radius = 1.0;
   spec.cluster_count = -1;
-  EXPECT_THROW(gen.generate(spec, rng), std::invalid_argument);
+  EXPECT_THROW(realize_spec(spec, {8, 8}, rng), std::invalid_argument);
 }
 
 TEST(FaultSpec, DistributionNames) {
@@ -270,7 +274,6 @@ TEST(FaultSpec, DistributionNames) {
 }
 
 TEST(FaultGenerator, ClusteredPopcountMatchesUniformForStuckAt) {
-  FaultGenerator gen({32, 32});
   FaultSpec uniform;
   uniform.kind = FaultKind::kStuckAt;
   uniform.injection_rate = 0.08;
@@ -279,36 +282,33 @@ TEST(FaultGenerator, ClusteredPopcountMatchesUniformForStuckAt) {
   clustered.cluster_count = 3;
   for (std::uint64_t seed = 20; seed < 24; ++seed) {
     core::Rng r1(seed), r2(seed);
-    const FaultMask u = gen.generate(uniform, r1);
-    const FaultMask c = gen.generate(clustered, r2);
+    const FaultMask u = realize_spec(uniform, {32, 32}, r1);
+    const FaultMask c = realize_spec(clustered, {32, 32}, r2);
     EXPECT_EQ(u.count_sa0() + u.count_sa1(), c.count_sa0() + c.count_sa1());
   }
 }
 
 TEST(FaultVectorFile, SerializationRoundTrip) {
-  FaultGenerator gen({13, 17});
+  RealizeContext ctx;
+  ctx.grid = {13, 17};
   core::Rng rng(6);
-  FaultSpec flips;
-  flips.injection_rate = 0.15;
-  FaultSpec stuck;
-  stuck.kind = FaultKind::kStuckAt;
-  stuck.injection_rate = 0.1;
-
   FaultVectorFile file;
-  file.add({"conv1", FaultKind::kBitFlip, FaultGranularity::kOutputElement, 0,
-            gen.generate(flips, rng), {}});
-  file.add({"dense0", FaultKind::kStuckAt, FaultGranularity::kProductTerm, 0,
-            gen.generate(stuck, rng), {}});
-  file.add({"conv2", FaultKind::kDynamic, FaultGranularity::kOutputElement, 3,
-            gen.generate(flips, rng), {}});
+  file.add(parse_fault_expr("bitflip(rate=0.15)")
+               .realize_entry("conv1", FaultGranularity::kOutputElement, ctx,
+                              rng));
+  file.add(parse_fault_expr("stuckat(rate=0.1)")
+               .realize_entry("dense0", FaultGranularity::kProductTerm, ctx,
+                              rng));
+  file.add(parse_fault_expr("dynamic(rate=0.15,period=3)")
+               .realize_entry("conv2", FaultGranularity::kOutputElement, ctx,
+                              rng));
 
   const auto bytes = file.serialize();
-  // Legacy entries keep the version-1 layout byte for byte.
-  EXPECT_EQ(bytes[8], 1u);
+  EXPECT_EQ(bytes[8], 2u);  // only version 2 is written
   const FaultVectorFile loaded = FaultVectorFile::deserialize(bytes);
   EXPECT_EQ(loaded, file);
   ASSERT_NE(loaded.find("conv2"), nullptr);
-  EXPECT_EQ(loaded.find("conv2")->dynamic_period, 3);
+  EXPECT_EQ(loaded.find("conv2")->describe(), "dynamic(period=3,rate=0.15)");
   EXPECT_EQ(loaded.find("nonexistent"), nullptr);
 }
 
@@ -356,28 +356,46 @@ std::vector<FaultMask> version1_masks() {
 }
 
 TEST(FaultVectorFile, LoadsVersion1File) {
+  // Each single-kind entry loads as one component of the matching model;
+  // only dynamic carries a parameter, its period.
   const std::vector<FaultMask> masks = version1_masks();
-  FaultVectorFile file;
-  file.add({"conv1", FaultKind::kBitFlip, FaultGranularity::kOutputElement, 0,
-            masks[0], {}});
-  file.add({"conv2", FaultKind::kStuckAt, FaultGranularity::kProductTerm, 0,
-            masks[1], {}});
-  file.add({"dense0", FaultKind::kDynamic, FaultGranularity::kOutputElement, 3,
-            masks[2], {}});
-  const std::vector<std::uint8_t> bytes(std::begin(kVersion1File),
-                                        std::end(kVersion1File));
-  EXPECT_EQ(file.serialize(), bytes);
-  EXPECT_EQ(FaultVectorFile::deserialize(bytes), file);
+  const auto component = [](const char* model, const FaultMask& mask) {
+    RealizedFault c;
+    c.model = model;
+    c.mask = mask;
+    return c;
+  };
+  RealizedFault dynamic = component("dynamic", masks[2]);
+  dynamic.params = {{"period", 3.0}};
+  FaultVectorFile expected;
+  expected.add({"conv1", FaultGranularity::kOutputElement,
+                {component("bitflip", masks[0])}});
+  expected.add({"conv2", FaultGranularity::kProductTerm,
+                {component("stuckat", masks[1])}});
+  expected.add({"dense0", FaultGranularity::kOutputElement, {dynamic}});
+
+  const FaultVectorFile loaded = FaultVectorFile::deserialize(
+      std::vector<std::uint8_t>(std::begin(kVersion1File),
+                                std::end(kVersion1File)));
+  EXPECT_EQ(loaded, expected);
+  ASSERT_EQ(loaded.size(), 3u);
+  EXPECT_EQ(loaded.entries()[0].describe(), "bitflip");
+  EXPECT_EQ(loaded.entries()[1].describe(), "stuckat");
+  EXPECT_EQ(loaded.entries()[2].describe(), "dynamic(period=3)");
+  // Written back, it is a version-2 file with the same entries.
+  const auto rewritten = loaded.serialize();
+  EXPECT_EQ(rewritten[8], 2u);
+  EXPECT_EQ(FaultVectorFile::deserialize(rewritten), loaded);
 }
 
 TEST(FaultVectorFile, FileRoundTrip) {
-  FaultGenerator gen({8, 8});
+  RealizeContext ctx;
+  ctx.grid = {8, 8};
   core::Rng rng(7);
-  FaultSpec spec;
-  spec.injection_rate = 0.25;
   FaultVectorFile file;
-  file.add({"layer", FaultKind::kBitFlip, FaultGranularity::kOutputElement, 0,
-            gen.generate(spec, rng), {}});
+  file.add(parse_fault_expr("bitflip(rate=0.25)")
+               .realize_entry("layer", FaultGranularity::kOutputElement, ctx,
+                              rng));
   const std::string path = ::testing::TempDir() + "/flim_vectors_test.bin";
   file.save(path);
   const FaultVectorFile loaded = FaultVectorFile::load(path);
@@ -392,20 +410,111 @@ TEST(FaultVectorFile, RejectsCorruptData) {
   EXPECT_THROW(FaultVectorFile::deserialize(bytes), std::invalid_argument);
 }
 
-FaultVectorEntry make_entry(FaultKind kind, std::int64_t rows,
-                            std::int64_t cols) {
+/// Little-endian writer for hand-made fault vector files.
+struct FileBytes {
+  std::vector<std::uint8_t> bytes;
+
+  FileBytes& u8(std::uint8_t v) {
+    bytes.push_back(v);
+    return *this;
+  }
+  FileBytes& u32(std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) bytes.push_back((v >> (8 * i)) & 0xff);
+    return *this;
+  }
+  FileBytes& u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) bytes.push_back((v >> (8 * i)) & 0xff);
+    return *this;
+  }
+  FileBytes& str(const std::string& s) {
+    u32(static_cast<std::uint32_t>(s.size()));
+    bytes.insert(bytes.end(), s.begin(), s.end());
+    return *this;
+  }
+  /// A clear 1x1 mask: dimensions plus three one-byte planes.
+  FileBytes& clear_mask() { return u64(1).u64(1).u8(0).u8(0).u8(0); }
+};
+
+/// A file of `version` holding one entry "x" up to (not including) its
+/// header mask.
+FileBytes one_entry_file(std::uint32_t version, std::uint8_t kind,
+                         std::uint8_t granularity) {
+  FileBytes f;
+  f.u64(0x314356464d494c46ull).u32(version).u32(1);
+  f.str("x").u8(kind).u8(granularity).u32(0);
+  return f;
+}
+
+TEST(FaultVectorFile, HostileCountsFailBeforeAllocating) {
+  // Counts of 2^32-1 components or params must fail on the missing bytes,
+  // not reserve memory for them first.
+  FileBytes components = one_entry_file(2, 0, 0);
+  components.clear_mask().u32(0xffffffffu);
+  EXPECT_THROW(FaultVectorFile::deserialize(components.bytes),
+               std::invalid_argument);
+  FileBytes params = one_entry_file(2, 0, 0);
+  params.clear_mask().u32(1).str("bitflip").u32(0xffffffffu);
+  EXPECT_THROW(FaultVectorFile::deserialize(params.bytes),
+               std::invalid_argument);
+  // A plausible but huge mask whose planes are missing.
+  FileBytes mask = one_entry_file(1, 0, 0);
+  mask.u64(65536).u64(65535);
+  EXPECT_THROW(FaultVectorFile::deserialize(mask.bytes),
+               std::invalid_argument);
+}
+
+TEST(FaultVectorFile, HostileDimensionsDoNotOverflow) {
+  // rows * cols = 2^80 must not wrap a signed 64-bit product into a mask
+  // with zero slots (which the injector would later divide by).
+  FileBytes f = one_entry_file(1, 0, 0);
+  f.u64(std::uint64_t{1} << 40).u64(std::uint64_t{1} << 40).u8(0);
+  EXPECT_THROW(FaultVectorFile::deserialize(f.bytes), std::invalid_argument);
+  FileBytes negative = one_entry_file(1, 0, 0);
+  negative.u64(~std::uint64_t{0}).u64(1).u8(0);
+  EXPECT_THROW(FaultVectorFile::deserialize(negative.bytes),
+               std::invalid_argument);
+}
+
+TEST(FaultVectorFile, RejectsUnknownKindAndGranularityBytes) {
+  for (const std::uint32_t version : {1u, 2u}) {
+    FileBytes granularity = one_entry_file(version, 0, 7);
+    granularity.clear_mask().u32(0);
+    EXPECT_THROW(FaultVectorFile::deserialize(granularity.bytes),
+                 std::invalid_argument);
+    FileBytes kind = one_entry_file(version, 9, 0);
+    kind.clear_mask().u32(0);
+    EXPECT_THROW(FaultVectorFile::deserialize(kind.bytes),
+                 std::invalid_argument);
+  }
+  // The same bytes with in-range values load.
+  FileBytes ok = one_entry_file(1, 2, 1);
+  ok.clear_mask();
+  const FaultVectorFile loaded = FaultVectorFile::deserialize(ok.bytes);
+  ASSERT_EQ(loaded.size(), 1u);
+  EXPECT_EQ(loaded.entries()[0].describe(), "dynamic(period=0)");
+  EXPECT_EQ(loaded.entries()[0].granularity, FaultGranularity::kProductTerm);
+}
+
+/// A one-component entry of `model` on a clear rows x cols grid.
+FaultVectorEntry make_entry(const std::string& model, std::int64_t rows,
+                            std::int64_t cols,
+                            std::vector<std::pair<std::string, double>> params =
+                                {}) {
+  RealizedFault component;
+  component.model = model;
+  component.params = std::move(params);
+  component.mask = FaultMask(rows, cols);
   FaultVectorEntry e;
   e.layer_name = "test";
-  e.kind = kind;
-  e.mask = FaultMask(rows, cols);
+  e.components.push_back(std::move(component));
   return e;
 }
 
 TEST(FaultInjector, FlipNegatesMappedOps) {
   // Mask with slot 1 flipped on a 1x4 grid; feature map of one image with
   // 2 positions x 4 channels => ops 1 and 5 map to slot 1.
-  FaultVectorEntry e = make_entry(FaultKind::kBitFlip, 1, 4);
-  e.mask.set_flip(1, true);
+  FaultVectorEntry e = make_entry("bitflip", 1, 4);
+  e.components[0].mask.set_flip(1, true);
   FaultInjector inj(e);
 
   tensor::IntTensor feature(tensor::Shape{2, 4});
@@ -420,9 +529,9 @@ TEST(FaultInjector, FlipNegatesMappedOps) {
 }
 
 TEST(FaultInjector, StuckAtPinsValues) {
-  FaultVectorEntry e = make_entry(FaultKind::kStuckAt, 1, 3);
-  e.mask.set_sa0(0, true);
-  e.mask.set_sa1(2, true);
+  FaultVectorEntry e = make_entry("stuckat", 1, 3);
+  e.components[0].mask.set_sa0(0, true);
+  e.components[0].mask.set_sa1(2, true);
   FaultInjector inj(e);
   tensor::IntTensor feature(tensor::Shape{1, 3});
   feature[0] = 10;
@@ -436,9 +545,9 @@ TEST(FaultInjector, StuckAtPinsValues) {
 
 TEST(FaultInjector, StuckAtPinsToFullScale) {
   // A stuck XNOR column reports all-match (+K) or all-mismatch (-K).
-  FaultVectorEntry e = make_entry(FaultKind::kStuckAt, 1, 2);
-  e.mask.set_sa0(0, true);
-  e.mask.set_sa1(1, true);
+  FaultVectorEntry e = make_entry("stuckat", 1, 2);
+  e.components[0].mask.set_sa0(0, true);
+  e.components[0].mask.set_sa1(1, true);
   FaultInjector inj(e);
   tensor::IntTensor feature(tensor::Shape{1, 2});
   feature[0] = 3;
@@ -449,9 +558,9 @@ TEST(FaultInjector, StuckAtPinsToFullScale) {
 }
 
 TEST(FaultInjector, StuckAtDominatesFlipOnSameSlot) {
-  FaultVectorEntry e = make_entry(FaultKind::kStuckAt, 1, 1);
-  e.mask.set_flip(0, true);
-  e.mask.set_sa1(0, true);
+  FaultVectorEntry e = make_entry("stuckat", 1, 1);
+  e.components[0].mask.set_flip(0, true);
+  e.components[0].mask.set_sa1(0, true);
   FaultInjector inj(e);
   tensor::IntTensor feature(tensor::Shape{1, 1});
   feature[0] = -5;
@@ -461,9 +570,8 @@ TEST(FaultInjector, StuckAtDominatesFlipOnSameSlot) {
 
 TEST(FaultInjector, InactiveApplicationIsNoop) {
   // A dynamic entry with period 2 is dormant on execution 0.
-  FaultVectorEntry e = make_entry(FaultKind::kDynamic, 1, 2);
-  e.dynamic_period = 2;
-  e.mask.set_flip(0, true);
+  FaultVectorEntry e = make_entry("dynamic", 1, 2, {{"period", 2.0}});
+  e.components[0].mask.set_flip(0, true);
   FaultInjector inj(e);
   tensor::IntTensor feature(tensor::Shape{1, 2});
   feature[0] = 3;
@@ -477,8 +585,8 @@ class DynamicSchedule : public ::testing::TestWithParam<int> {};
 
 TEST_P(DynamicSchedule, FiresEveryNthExecution) {
   const int period = GetParam();
-  FaultVectorEntry e = make_entry(FaultKind::kDynamic, 2, 2);
-  e.dynamic_period = period;
+  FaultVectorEntry e = make_entry("dynamic", 2, 2,
+                                  {{"period", static_cast<double>(period)}});
   FaultInjector inj(e);
   const int effective = std::max(1, period);
   for (int exec = 0; exec < 3 * effective; ++exec) {
@@ -492,8 +600,7 @@ INSTANTIATE_TEST_SUITE_P(Periods, DynamicSchedule,
                          ::testing::Values(0, 1, 2, 3, 4, 5));
 
 TEST(FaultInjector, ResetTimeRestartsDynamicSchedule) {
-  FaultVectorEntry e = make_entry(FaultKind::kDynamic, 1, 1);
-  e.dynamic_period = 2;
+  FaultVectorEntry e = make_entry("dynamic", 1, 1, {{"period", 2.0}});
   FaultInjector inj(e);
   EXPECT_FALSE(inj.any_active(inj.advance_execution()));
   EXPECT_TRUE(inj.any_active(inj.advance_execution()));
@@ -502,7 +609,7 @@ TEST(FaultInjector, ResetTimeRestartsDynamicSchedule) {
 }
 
 TEST(FaultInjector, StaticKindsAlwaysActive) {
-  FaultVectorEntry e = make_entry(FaultKind::kBitFlip, 1, 1);
+  FaultVectorEntry e = make_entry("bitflip", 1, 1);
   FaultInjector inj(e);
   for (int i = 0; i < 5; ++i) {
     EXPECT_TRUE(inj.any_active(inj.advance_execution()));
@@ -512,9 +619,9 @@ TEST(FaultInjector, StaticKindsAlwaysActive) {
 TEST(FaultInjector, TermMasksFollowSlotMapping) {
   // Grid 1x4 with slot 2 flipped; term (ch=0, k=2) and (ch=1, k=1) with K=5:
   // indices 2 and 6 -> slots 2 and 2 (6 mod 4 = 2).
-  FaultVectorEntry e = make_entry(FaultKind::kBitFlip, 1, 4);
+  FaultVectorEntry e = make_entry("bitflip", 1, 4);
   e.granularity = FaultGranularity::kProductTerm;
-  e.mask.set_flip(2, true);
+  e.components[0].mask.set_flip(2, true);
   FaultInjector inj(e);
   const TermMasks* masks = inj.term_masks(2, 5, /*execution=*/0);
   ASSERT_NE(masks, nullptr);
@@ -529,8 +636,8 @@ TEST(FaultInjector, TermMasksFollowSlotMapping) {
 }
 
 TEST(FaultInjector, TermMasksAreCachedAndShapeChecked) {
-  FaultVectorEntry e = make_entry(FaultKind::kBitFlip, 2, 2);
-  e.mask.set_flip(0, true);
+  FaultVectorEntry e = make_entry("bitflip", 2, 2);
+  e.components[0].mask.set_flip(0, true);
   e.granularity = FaultGranularity::kProductTerm;
   FaultInjector inj(e);
   const TermMasks* a = inj.term_masks(3, 4, 0);
@@ -542,10 +649,9 @@ TEST(FaultInjector, TermMasksAreCachedAndShapeChecked) {
 
 TEST(FaultInjector, TermMasksNullWhenDormant) {
   // A period-3 dynamic entry folds planes only on the firing execution.
-  FaultVectorEntry e = make_entry(FaultKind::kDynamic, 1, 4);
-  e.dynamic_period = 3;
+  FaultVectorEntry e = make_entry("dynamic", 1, 4, {{"period", 3.0}});
   e.granularity = FaultGranularity::kProductTerm;
-  e.mask.set_flip(1, true);
+  e.components[0].mask.set_flip(1, true);
   FaultInjector inj(e);
   EXPECT_EQ(inj.term_masks(2, 4, 0), nullptr);
   EXPECT_EQ(inj.term_masks(2, 4, 1), nullptr);
@@ -557,7 +663,9 @@ TEST(FaultInjector, TermMasksNullWhenDormant) {
 TEST(FaultInjector, RejectsEmptyMask) {
   FaultVectorEntry e;
   e.layer_name = "x";
-  EXPECT_THROW(FaultInjector{e}, std::invalid_argument);
+  EXPECT_THROW(FaultInjector{e}, std::invalid_argument);  // no components
+  EXPECT_THROW(FaultInjector{make_entry("bitflip", 0, 0)},
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -844,7 +952,7 @@ TEST(CouplingModel, SitesAreSpatiallyCorrelated) {
     core::Rng r2(seed + 100);
     FaultSpec uniform;
     uniform.injection_rate = rate;
-    const FaultMask baseline = FaultGenerator(ctx.grid).generate(uniform, r2);
+    const FaultMask baseline = realize_spec(uniform, ctx.grid, r2);
     coupled_dist += mean_pairwise_distance(coupled);
     uniform_dist += mean_pairwise_distance(baseline);
   }

@@ -11,7 +11,7 @@
 #include "core/campaign.hpp"
 #include "core/rng.hpp"
 #include "data/synthetic_mnist.hpp"
-#include "fault/fault_generator.hpp"
+#include "fault/fault_registry.hpp"
 #include "fault/fault_vector_file.hpp"
 #include "models/zoo.hpp"
 #include "train/trainer.hpp"
@@ -65,21 +65,18 @@ double eval_with_fault(fault::FaultKind kind, double rate,
                        std::uint64_t seed,
                        const std::string& only_layer = "") {
   const Fixture& fx = Fixture::instance();
-  fault::FaultGenerator gen({64, 64});
+  fault::RealizeContext ctx;
+  ctx.grid = {64, 64};
   core::Rng rng(seed);
   bnn::FlimEngine engine;
   fault::FaultSpec spec;
   spec.kind = kind;
   spec.injection_rate = rate;
-  spec.granularity = granularity;
+  const fault::FaultStack stack = fault::stack_from_spec(spec);
   for (const auto& layer : fx.layers) {
     if (!only_layer.empty() && layer.layer_name != only_layer) continue;
-    fault::FaultVectorEntry entry;
-    entry.layer_name = layer.layer_name;
-    entry.kind = kind;
-    entry.granularity = granularity;
-    entry.mask = gen.generate(spec, rng);
-    engine.set_layer_fault(entry);
+    engine.set_layer_fault(
+        stack.realize_entry(layer.layer_name, granularity, ctx, rng));
   }
   return fx.model.evaluate(fx.eval_batch, engine);
 }
@@ -132,24 +129,23 @@ TEST(EndToEnd, StuckAtWorseThanBitFlip) {
 // Paper finding: dynamic faults recover accuracy as the period grows.
 TEST(EndToEnd, DynamicFaultsRecoverWithPeriod) {
   const Fixture& fx = Fixture::instance();
-  fault::FaultGenerator gen({64, 64});
+  fault::RealizeContext ctx;
+  ctx.grid = {64, 64};
 
   auto eval_dynamic = [&](int period) {
+    fault::FaultSpec spec;
+    spec.kind = fault::FaultKind::kDynamic;
+    spec.injection_rate = 0.25;
+    spec.dynamic_period = period;
+    const fault::FaultStack stack = fault::stack_from_spec(spec);
     core::RunningStats stats;
     for (std::uint64_t seed = 0; seed < 2; ++seed) {
       core::Rng rng(seed);
       bnn::FlimEngine engine;
       for (const auto& layer : fx.layers) {
-        fault::FaultSpec spec;
-        spec.kind = fault::FaultKind::kDynamic;
-        spec.injection_rate = 0.25;
-        spec.dynamic_period = period;
-        fault::FaultVectorEntry entry;
-        entry.layer_name = layer.layer_name;
-        entry.kind = fault::FaultKind::kDynamic;
-        entry.dynamic_period = period;
-        entry.mask = gen.generate(spec, rng);
-        engine.set_layer_fault(entry);
+        engine.set_layer_fault(stack.realize_entry(
+            layer.layer_name, fault::FaultGranularity::kOutputElement, ctx,
+            rng));
       }
       stats.add(fx.model.evaluate(fx.eval_batch, engine));
     }
@@ -199,19 +195,16 @@ TEST(EndToEnd, ProductTermGranularityAlsoDegrades) {
 // Fault vector files drive a full campaign end-to-end.
 TEST(EndToEnd, FaultVectorFileWorkflow) {
   const Fixture& fx = Fixture::instance();
-  fault::FaultGenerator gen({32, 32});
+  const fault::FaultStack stack = fault::parse_fault_expr("stuckat(rate=0.1)");
+  fault::RealizeContext ctx;
+  ctx.grid = {32, 32};
   core::Rng rng(7);
 
   fault::FaultVectorFile file;
   for (const auto& layer : fx.layers) {
-    fault::FaultSpec spec;
-    spec.kind = fault::FaultKind::kStuckAt;
-    spec.injection_rate = 0.1;
-    fault::FaultVectorEntry entry;
-    entry.layer_name = layer.layer_name;
-    entry.kind = fault::FaultKind::kStuckAt;
-    entry.mask = gen.generate(spec, rng);
-    file.add(std::move(entry));
+    file.add(stack.realize_entry(layer.layer_name,
+                                 fault::FaultGranularity::kOutputElement, ctx,
+                                 rng));
   }
   const std::string path = ::testing::TempDir() + "/flim_campaign.bin";
   file.save(path);
@@ -229,7 +222,9 @@ TEST(EndToEnd, DeviceEngineMatchesFlimOnModel) {
   const Fixture& fx = Fixture::instance();
   const data::Batch tiny = data::load_batch(fx.dataset, 1200, 2);
 
-  fault::FaultGenerator gen({8, 8});  // gate-grid masks: 64 gates per layer
+  const fault::FaultStack stack = fault::parse_fault_expr("stuckat(rate=0.15)");
+  fault::RealizeContext ctx;
+  ctx.grid = {8, 8};  // gate-grid masks: 64 gates per layer
   core::Rng rng(11);
   bnn::FlimEngine flim;
   xfault::DeviceEngineConfig cfg;
@@ -238,15 +233,8 @@ TEST(EndToEnd, DeviceEngineMatchesFlimOnModel) {
   xfault::DeviceEngine device(cfg);
 
   for (const auto& layer : fx.layers) {
-    fault::FaultSpec spec;
-    spec.kind = fault::FaultKind::kStuckAt;
-    spec.injection_rate = 0.15;
-    spec.granularity = fault::FaultGranularity::kProductTerm;
-    fault::FaultVectorEntry entry;
-    entry.layer_name = layer.layer_name;
-    entry.kind = fault::FaultKind::kStuckAt;
-    entry.granularity = fault::FaultGranularity::kProductTerm;
-    entry.mask = gen.generate(spec, rng);
+    const fault::FaultVectorEntry entry = stack.realize_entry(
+        layer.layer_name, fault::FaultGranularity::kProductTerm, ctx, rng);
     flim.set_layer_fault(entry);
     device.set_layer_fault(entry);
   }

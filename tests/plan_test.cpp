@@ -18,7 +18,7 @@
 #include "core/sysinfo.hpp"
 #include "core/thread_pool.hpp"
 #include "exp/engine_factory.hpp"
-#include "fault/fault_generator.hpp"
+#include "fault/fault_registry.hpp"
 #include "fault/fault_vector_file.hpp"
 #include "models/zoo.hpp"
 #include "tensor/workspace.hpp"
@@ -47,17 +47,13 @@ fault::FaultVectorFile realize_vectors(const Model& model,
                                        const fault::FaultSpec& spec,
                                        std::uint64_t seed) {
   const auto layers = model.analyze(sample).binarized_layers;
-  fault::FaultGenerator gen(lim::CrossbarGeometry{16, 16});
+  const fault::FaultStack stack = fault::stack_from_spec(spec);
+  fault::RealizeContext ctx;
+  ctx.grid = {16, 16};
   core::Rng rng(seed);
   fault::FaultVectorFile file;
   for (const LayerWorkload& layer : layers) {
-    fault::FaultVectorEntry entry;
-    entry.layer_name = layer.layer_name;
-    entry.kind = spec.kind;
-    entry.granularity = spec.granularity;
-    entry.dynamic_period = spec.dynamic_period;
-    entry.mask = gen.generate(spec, rng);
-    file.add(std::move(entry));
+    file.add(stack.realize_entry(layer.layer_name, spec.granularity, ctx, rng));
   }
   return file;
 }
@@ -206,14 +202,17 @@ TEST(Plan, LenetProductTermDynamicMatchesGolden) {
 // and to differ from the fault-free reference, so the placed faults are
 // live.
 
-/// An empty product-term entry over a 4x4 gate grid; cases mark slots.
+/// An empty one-component product-term entry of `model` over a 4x4 gate
+/// grid; cases mark slots.
 fault::FaultVectorEntry term_entry(const std::string& layer,
-                                   fault::FaultKind kind) {
+                                   const std::string& model) {
+  fault::RealizedFault component;
+  component.model = model;
+  component.mask = fault::FaultMask(4, 4);
   fault::FaultVectorEntry e;
   e.layer_name = layer;
-  e.kind = kind;
   e.granularity = fault::FaultGranularity::kProductTerm;
-  e.mask = fault::FaultMask(4, 4);
+  e.components.push_back(std::move(component));
   return e;
 }
 
@@ -244,10 +243,10 @@ TEST(DeviceVsFlim, BinaryConvPackedLowering) {
   // kernel <= 64: word-level patch assembly from packed image rows.
   const Model model = one_layer_model(std::make_unique<BinaryConv2D>(
       "conv", 3, 4, 3, 1, 1, deterministic_input(Shape{4, 27}, 81)));
-  fault::FaultVectorEntry e = term_entry("conv", fault::FaultKind::kBitFlip);
-  e.mask.set_flip(1, true);
-  e.mask.set_flip(6, true);
-  e.mask.set_flip(11, true);
+  fault::FaultVectorEntry e = term_entry("conv", "bitflip");
+  e.components[0].mask.set_flip(1, true);
+  e.components[0].mask.set_flip(6, true);
+  e.components[0].mask.set_flip(11, true);
   expect_device_matches_flim(model, deterministic_input(Shape{2, 3, 6, 6}, 82),
                              {e}, "packed conv");
 }
@@ -256,10 +255,10 @@ TEST(DeviceVsFlim, BinaryConvGatherLowering) {
   // kernel > 64: the precomputed gather map; K = 65*65 wraps the 16 gates.
   const Model model = one_layer_model(std::make_unique<BinaryConv2D>(
       "conv", 1, 2, 65, 1, 0, deterministic_input(Shape{2, 65 * 65}, 83)));
-  fault::FaultVectorEntry e = term_entry("conv", fault::FaultKind::kStuckAt);
-  e.mask.set_sa0(2, true);
-  e.mask.set_sa1(7, true);
-  e.mask.set_sa0(13, true);
+  fault::FaultVectorEntry e = term_entry("conv", "stuckat");
+  e.components[0].mask.set_sa0(2, true);
+  e.components[0].mask.set_sa1(7, true);
+  e.components[0].mask.set_sa0(13, true);
   expect_device_matches_flim(
       model, deterministic_input(Shape{1, 1, 65, 66}, 84), {e}, "gather conv");
 }
@@ -267,8 +266,10 @@ TEST(DeviceVsFlim, BinaryConvGatherLowering) {
 TEST(DeviceVsFlim, BinaryDense) {
   const Model model = one_layer_model(std::make_unique<BinaryDense>(
       "fc", 40, 5, deterministic_input(Shape{5, 40}, 85)));
-  fault::FaultVectorEntry e = term_entry("fc", fault::FaultKind::kBitFlip);
-  for (const std::int64_t slot : {0, 5, 10, 15}) e.mask.set_flip(slot, true);
+  fault::FaultVectorEntry e = term_entry("fc", "bitflip");
+  for (const std::int64_t slot : {0, 5, 10, 15}) {
+    e.components[0].mask.set_flip(slot, true);
+  }
   expect_device_matches_flim(model, deterministic_input(Shape{3, 40}, 86),
                              {e}, "dense");
 }
@@ -282,13 +283,13 @@ TEST(DeviceVsFlim, ResidualBlockWithShortcut) {
       std::make_unique<BinaryConv2D>("res/shortcut", 2, 3, 1, 1, 0,
                                      deterministic_input(Shape{3, 2}, 88))));
   fault::FaultVectorEntry body_fault =
-      term_entry("res/body", fault::FaultKind::kBitFlip);
-  body_fault.mask.set_flip(3, true);
-  body_fault.mask.set_flip(9, true);
+      term_entry("res/body", "bitflip");
+  body_fault.components[0].mask.set_flip(3, true);
+  body_fault.components[0].mask.set_flip(9, true);
   fault::FaultVectorEntry shortcut_fault =
-      term_entry("res/shortcut", fault::FaultKind::kStuckAt);
-  shortcut_fault.mask.set_sa1(0, true);
-  shortcut_fault.mask.set_sa0(5, true);
+      term_entry("res/shortcut", "stuckat");
+  shortcut_fault.components[0].mask.set_sa1(0, true);
+  shortcut_fault.components[0].mask.set_sa0(5, true);
   expect_device_matches_flim(model, deterministic_input(Shape{1, 2, 5, 5}, 89),
                              {body_fault, shortcut_fault}, "residual");
 }
@@ -301,10 +302,10 @@ TEST(DeviceVsFlim, ConcatBlock) {
   const Model model = one_layer_model(
       std::make_unique<ConcatBlock>("cat", std::move(body)));
   fault::FaultVectorEntry e =
-      term_entry("cat/conv", fault::FaultKind::kStuckAt);
-  e.mask.set_sa1(4, true);
-  e.mask.set_sa0(8, true);
-  e.mask.set_sa1(14, true);
+      term_entry("cat/conv", "stuckat");
+  e.components[0].mask.set_sa1(4, true);
+  e.components[0].mask.set_sa0(8, true);
+  e.components[0].mask.set_sa1(14, true);
   expect_device_matches_flim(model, deterministic_input(Shape{1, 2, 4, 4}, 91),
                              {e}, "concat");
 }
@@ -314,9 +315,11 @@ TEST(DeviceVsFlim, DynamicPeriodFollowsImages) {
   // run clean, on both engines.
   const Model model = one_layer_model(std::make_unique<BinaryDense>(
       "fc", 24, 3, deterministic_input(Shape{3, 24}, 92)));
-  fault::FaultVectorEntry e = term_entry("fc", fault::FaultKind::kDynamic);
-  e.dynamic_period = 2;
-  for (std::int64_t slot = 0; slot < 16; slot += 3) e.mask.set_flip(slot, true);
+  fault::FaultVectorEntry e = term_entry("fc", "dynamic");
+  e.components[0].params = {{"period", 2.0}};
+  for (std::int64_t slot = 0; slot < 16; slot += 3) {
+    e.components[0].mask.set_flip(slot, true);
+  }
   const FloatTensor x = deterministic_input(Shape{4, 24}, 93);
   const FloatTensor faulty =
       expect_device_matches_flim(model, x, {e}, "dynamic");

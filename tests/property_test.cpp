@@ -13,7 +13,7 @@
 #include "bnn/flim_engine.hpp"
 #include "bnn/serialize.hpp"
 #include "core/rng.hpp"
-#include "fault/fault_generator.hpp"
+#include "fault/fault_registry.hpp"
 #include "lim/crossbar.hpp"
 #include "models/zoo.hpp"
 #include "reliability/ecc.hpp"
@@ -75,13 +75,15 @@ class GeneratorRates : public ::testing::TestWithParam<double> {};
 
 TEST_P(GeneratorRates, ExactCountAndDeterminism) {
   const double rate = GetParam();
-  fault::FaultGenerator gen({32, 48});
   fault::FaultSpec spec;
   spec.kind = fault::FaultKind::kBitFlip;
   spec.injection_rate = rate;
+  const fault::FaultStack stack = fault::stack_from_spec(spec);
+  fault::RealizeContext ctx;
+  ctx.grid = {32, 48};
   core::Rng r1(99), r2(99);
-  const fault::FaultMask a = gen.generate(spec, r1);
-  const fault::FaultMask b = gen.generate(spec, r2);
+  const fault::FaultMask a = stack.realize(ctx, r1).front().mask;
+  const fault::FaultMask b = stack.realize(ctx, r2).front().mask;
   EXPECT_EQ(a, b);
   EXPECT_EQ(a.count_flip(),
             static_cast<std::int64_t>(std::llround(rate * 32 * 48)));
@@ -146,14 +148,16 @@ TEST(FaultInvariants, FlipPreservesParity) {
 }
 
 TEST(FaultInvariants, OutputElementFlipIsAnInvolution) {
-  fault::FaultVectorEntry e;
-  e.layer_name = "l";
-  e.kind = fault::FaultKind::kBitFlip;
-  e.mask = fault::FaultMask(4, 4);
+  fault::RealizedFault flips;
+  flips.model = "bitflip";
+  flips.mask = fault::FaultMask(4, 4);
   core::Rng rng(7);
   for (std::int64_t s = 0; s < 16; ++s) {
-    e.mask.set_flip(s, rng.bernoulli(0.4));
+    flips.mask.set_flip(s, rng.bernoulli(0.4));
   }
+  fault::FaultVectorEntry e;
+  e.layer_name = "l";
+  e.components.push_back(flips);
   fault::FaultInjector inj(e);
   tensor::IntTensor feature(tensor::Shape{8, 4});
   for (std::int64_t i = 0; i < feature.numel(); ++i) {
@@ -166,12 +170,14 @@ TEST(FaultInvariants, OutputElementFlipIsAnInvolution) {
 }
 
 TEST(FaultInvariants, StuckAtIsIdempotent) {
+  fault::RealizedFault stuck;
+  stuck.model = "stuckat";
+  stuck.mask = fault::FaultMask(2, 2);
+  stuck.mask.set_sa0(0, true);
+  stuck.mask.set_sa1(3, true);
   fault::FaultVectorEntry e;
   e.layer_name = "l";
-  e.kind = fault::FaultKind::kStuckAt;
-  e.mask = fault::FaultMask(2, 2);
-  e.mask.set_sa0(0, true);
-  e.mask.set_sa1(3, true);
+  e.components.push_back(stuck);
   fault::FaultInjector inj(e);
   tensor::IntTensor feature(tensor::Shape{2, 2});
   feature[0] = 9;
@@ -275,12 +281,14 @@ TEST_P(EccOrganizations, ResidualIsSubsetAndScrubIsIdempotent) {
   const auto [word_bits, interleave, rate] = GetParam();
   const reliability::EccOptions options{word_bits, interleave};
 
-  fault::FaultGenerator gen({24, 40});
   fault::FaultSpec spec;
   spec.kind = fault::FaultKind::kStuckAt;
   spec.injection_rate = rate;
+  fault::RealizeContext ctx;
+  ctx.grid = {24, 40};
   core::Rng rng(7u + static_cast<std::uint64_t>(word_bits));
-  const fault::FaultMask original = gen.generate(spec, rng);
+  const fault::FaultMask original =
+      fault::stack_from_spec(spec).realize(ctx, rng).front().mask;
 
   reliability::EccScrubStats stats;
   const fault::FaultMask residual =

@@ -6,7 +6,7 @@
 #include "bnn/engine.hpp"
 #include "bnn/flim_engine.hpp"
 #include "core/rng.hpp"
-#include "fault/fault_generator.hpp"
+#include "fault/fault_registry.hpp"
 #include "xfault/device_engine.hpp"
 
 namespace flim::xfault {
@@ -58,11 +58,17 @@ INSTANTIATE_TEST_SUITE_P(BothFamilies, DeviceEngineFamilies,
                          ::testing::Values(lim::LogicFamilyKind::kMagic,
                                            lim::LogicFamilyKind::kImply));
 
-fault::FaultVectorEntry gate_grid_entry(std::int64_t rows, std::int64_t cols) {
+/// An empty one-component product-term entry of `model` on a rows x cols
+/// gate grid; cases mark slots.
+fault::FaultVectorEntry gate_grid_entry(const std::string& model,
+                                        std::int64_t rows, std::int64_t cols) {
+  fault::RealizedFault component;
+  component.model = model;
+  component.mask = fault::FaultMask(rows, cols);
   fault::FaultVectorEntry e;
   e.layer_name = "layer";
   e.granularity = fault::FaultGranularity::kProductTerm;
-  e.mask = fault::FaultMask(rows, cols);
+  e.components.push_back(std::move(component));
   return e;
 }
 
@@ -75,11 +81,10 @@ TEST(DeviceEngine, StuckAtMatchesFlimProductTerm) {
   const BitMatrix pa = BitMatrix::from_float(a);
   const BitMatrix pw = BitMatrix::from_float(w);
 
-  fault::FaultVectorEntry entry = gate_grid_entry(3, 4);  // 12 gates
-  entry.kind = fault::FaultKind::kStuckAt;
-  entry.mask.set_sa0(2, true);
-  entry.mask.set_sa1(7, true);
-  entry.mask.set_sa0(11, true);
+  fault::FaultVectorEntry entry = gate_grid_entry("stuckat", 3, 4);  // 12 gates
+  entry.components[0].mask.set_sa0(2, true);
+  entry.components[0].mask.set_sa1(7, true);
+  entry.components[0].mask.set_sa0(11, true);
 
   bnn::FlimEngine flim;
   flim.set_layer_fault(entry);
@@ -101,10 +106,9 @@ TEST(DeviceEngine, BitFlipMatchesFlimProductTerm) {
   const BitMatrix pa = BitMatrix::from_float(a);
   const BitMatrix pw = BitMatrix::from_float(w);
 
-  fault::FaultVectorEntry entry = gate_grid_entry(2, 4);  // 8 gates
-  entry.kind = fault::FaultKind::kBitFlip;
-  entry.mask.set_flip(1, true);
-  entry.mask.set_flip(6, true);
+  fault::FaultVectorEntry entry = gate_grid_entry("bitflip", 2, 4);  // 8 gates
+  entry.components[0].mask.set_flip(1, true);
+  entry.components[0].mask.set_flip(6, true);
 
   bnn::FlimEngine flim;
   flim.set_layer_fault(entry);
@@ -126,15 +130,15 @@ TEST(DeviceEngine, RandomMaskMatchesFlimAcrossSeeds) {
     const BitMatrix pa = BitMatrix::from_float(a);
     const BitMatrix pw = BitMatrix::from_float(w);
 
-    fault::FaultGenerator gen({2, 4});
     fault::FaultSpec spec;
     spec.kind = fault::FaultKind::kStuckAt;
     spec.injection_rate = 0.25;
-    spec.granularity = fault::FaultGranularity::kProductTerm;
+    fault::RealizeContext ctx;
+    ctx.grid = {2, 4};
     core::Rng rng(seed);
-    fault::FaultVectorEntry entry = gate_grid_entry(2, 4);
-    entry.kind = fault::FaultKind::kStuckAt;
-    entry.mask = gen.generate(spec, rng);
+    const fault::FaultVectorEntry entry =
+        fault::stack_from_spec(spec).realize_entry(
+            "layer", fault::FaultGranularity::kProductTerm, ctx, rng);
 
     bnn::FlimEngine flim;
     flim.set_layer_fault(entry);
@@ -160,10 +164,11 @@ TEST(DeviceEngine, DynamicFaultsFollowSchedule) {
   IntTensor clean;
   ref.execute("layer", pa, pw, 1, clean);
 
-  fault::FaultVectorEntry entry = gate_grid_entry(1, 6);
-  entry.kind = fault::FaultKind::kDynamic;
-  entry.dynamic_period = 2;
-  for (std::int64_t s = 0; s < 6; ++s) entry.mask.set_flip(s, true);
+  fault::FaultVectorEntry entry = gate_grid_entry("dynamic", 1, 6);
+  entry.components[0].params = {{"period", 2.0}};
+  for (std::int64_t s = 0; s < 6; ++s) {
+    entry.components[0].mask.set_flip(s, true);
+  }
 
   DeviceEngine device(small_config(lim::LogicFamilyKind::kMagic));
   device.set_layer_fault(entry);
@@ -202,8 +207,10 @@ TEST(DeviceEngine, MultipleLayersKeepIndependentState) {
   IntTensor clean;
   ref.execute("x", pa, pw, 1, clean);
 
-  fault::FaultVectorEntry entry = gate_grid_entry(1, 4);
-  for (std::int64_t s = 0; s < 4; ++s) entry.mask.set_flip(s, true);
+  fault::FaultVectorEntry entry = gate_grid_entry("bitflip", 1, 4);
+  for (std::int64_t s = 0; s < 4; ++s) {
+    entry.components[0].mask.set_flip(s, true);
+  }
   entry.layer_name = "faulty";
 
   DeviceEngine device(small_config(lim::LogicFamilyKind::kMagic));
