@@ -5,6 +5,7 @@
 // codec-radius residual application in fault/.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -12,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "core/sysinfo.hpp"
 #include "fault/residual.hpp"
 #include "reliability/ecc.hpp"
 #include "reliability/ecc/codec.hpp"
@@ -243,31 +245,86 @@ TEST(Exhaust, SecdedPluginMatchesGenericHamming) {
   EXPECT_EQ(legacy.per_weight[1].detected, ncr(72, 2));
 }
 
-TEST(Exhaust, SecdedPluginAgreesWithLegacyCodecPerPlacement) {
-  // Direct per-placement cross-check against reliability::SecDedCodec:
-  // every single-bit flip is corrected back to the same data the legacy
-  // decoder reports for ITS single-bit flips (both must return the
-  // original word), and parity-only flips leave data intact.
-  const Codec& plugin = configure("secded");
+/// Flips code index `index` of a legacy (72,64) codeword under the layout
+/// the registry codecs share: index 0 is the overall parity (legacy parity
+/// bit 0), a power-of-two index 2^j is Hamming parity bit j+1, and every
+/// other index is the next data bit in ascending order.
+void flip_legacy(SecDedCodec::Codeword& word, int index) {
+  const auto u = static_cast<unsigned>(index);
+  if (index == 0) {
+    word.parity ^= 1;
+  } else if ((u & (u - 1)) == 0) {
+    word.parity ^= static_cast<std::uint8_t>(1u << (std::countr_zero(u) + 1));
+  } else {
+    word.data ^= 1ull << (index - 1 - std::bit_width(u - 1));
+  }
+}
+
+TEST(Exhaust, SecdedPlacementsMatchPinnedChecksum) {
+  // FNV-1a over secded's decoded data bits and verdict for every weight-1
+  // and weight-2 placement of one fixed word, in lexicographic order.
+  const Codec& secded = configure("secded");
   const BitVec data = test_word(64, 9);
   std::uint64_t packed = 0;
   for (int i = 0; i < 64; ++i) {
     if (data[static_cast<std::size_t>(i)]) packed |= 1ull << i;
   }
-  SecDedCodec legacy;
-  const SecDedCodec::Codeword word = legacy.encode(packed);
-  for (int p = 0; p < 72; ++p) {
-    const DecodeOutcome outcome = decode_with_flips(plugin, data, {p});
-    EXPECT_EQ(outcome.status, DecodeStatus::kCorrected) << p;
-    EXPECT_EQ(outcome.data, data) << p;
+  const SecDedCodec legacy;
+  std::string digest;
+  const auto record = [&](const std::vector<int>& flips) {
+    const DecodeOutcome outcome = decode_with_flips(secded, data, flips);
+    digest.append(outcome.data.begin(), outcome.data.end());
+    digest.push_back(static_cast<char>(outcome.status));
+
+    SecDedCodec::Codeword word = legacy.encode(packed);
+    for (const int p : flips) flip_legacy(word, p);
+    const SecDedCodec::DecodeResult r = legacy.decode(word);
+    std::uint64_t decoded = 0;
+    for (int i = 0; i < 64; ++i) {
+      if (outcome.data[static_cast<std::size_t>(i)]) decoded |= 1ull << i;
+    }
+    EXPECT_EQ(decoded, r.data);
+    EXPECT_EQ(static_cast<int>(outcome.status), static_cast<int>(r.status));
+  };
+  for (int a = 0; a < 72; ++a) record({a});
+  for (int a = 0; a < 72; ++a) {
+    for (int b = a + 1; b < 72; ++b) record({a, b});
   }
-  // And the legacy codec agrees on its own representation.
-  for (int b = 0; b < 64; ++b) {
-    SecDedCodec::Codeword corrupted = word;
-    corrupted.data ^= 1ull << b;
-    const SecDedCodec::DecodeResult r = legacy.decode(corrupted);
-    EXPECT_EQ(r.status, SecDedCodec::Status::kCorrectedSingle);
-    EXPECT_EQ(r.data, packed);
+  ASSERT_EQ(digest.size(), (72u + ncr(72, 2)) * 65u);
+  const std::uint64_t observed = core::fnv1a64(digest);
+  EXPECT_EQ(observed, 0x7e284baf330c947dull)
+      << "observed checksum 0x" << core::hash_hex(observed);
+}
+
+struct PinnedTally {
+  std::uint64_t placements;
+  std::uint64_t corrected;
+  std::uint64_t detected;
+  std::uint64_t aliased;
+};
+
+TEST(Exhaust, TalliesMatchPinnedValuesPerFamily) {
+  // Exhaustive weight-1..3 tallies of one small code per family, pinned
+  // as constants: any change to a decoder or to the enumeration shows here.
+  const std::vector<std::pair<std::string, std::vector<PinnedTally>>> pinned{
+      {"hamming(d=8)", {{13, 13, 0, 0}, {78, 0, 78, 0}, {286, 0, 66, 220}}},
+      {"hsiao(d=8)", {{13, 13, 0, 0}, {78, 0, 78, 0}, {286, 0, 66, 220}}},
+      {"bch(d=16,t=2)",
+       {{26, 26, 0, 0}, {325, 325, 0, 0}, {2600, 0, 1880, 720}}},
+      {"secded",
+       {{72, 72, 0, 0}, {2556, 0, 2556, 0}, {59640, 0, 14336, 45304}}},
+  };
+  for (const auto& [expr, tallies] : pinned) {
+    const ExhaustResult r = exhaust(expr, {1, 2, 3});
+    ASSERT_EQ(r.per_weight.size(), tallies.size()) << expr;
+    for (std::size_t i = 0; i < tallies.size(); ++i) {
+      const WeightCounts& got = r.per_weight[i];
+      EXPECT_EQ(got.weight, static_cast<int>(i) + 1) << expr;
+      EXPECT_EQ(got.placements, tallies[i].placements) << expr << " w" << i + 1;
+      EXPECT_EQ(got.corrected, tallies[i].corrected) << expr << " w" << i + 1;
+      EXPECT_EQ(got.detected, tallies[i].detected) << expr << " w" << i + 1;
+      EXPECT_EQ(got.aliased, tallies[i].aliased) << expr << " w" << i + 1;
+    }
   }
 }
 
@@ -459,31 +516,50 @@ TEST(Residual, RadiusTwoClearsDoubleFaultWords) {
   EXPECT_EQ(stats.faulty_bits_after, 0);
 }
 
-TEST(Residual, LegacyScrubIsRadiusOneBitIdentical) {
+TEST(Residual, RadiusOneScrubMatchesHandPlacedPlanes) {
+  // 2x8 grid, 4-cell words, interleave 2: each row holds an even-column
+  // word and an odd-column word.
+  //   row 0 even {0,2,4,6}:      clean
+  //   row 0 odd  {1,3,5,7}:      flip@1 + sa1@3   -> kept
+  //   row 1 even {8,10,12,14}:   sa0@10 + flip@12 -> kept
+  //   row 1 odd  {9,11,13,15}:   sa1@9            -> corrected
   fault::FaultMask mask(2, 8);
   mask.set_flip(1, true);
+  mask.set_sa1(3, true);
   mask.set_sa1(9, true);
   mask.set_sa0(10, true);
-  EccOptions legacy_options{4, 2};
-  EccScrubStats legacy_stats;
-  const fault::FaultMask legacy =
-      apply_secded_scrub(mask, legacy_options, &legacy_stats);
+  mask.set_flip(12, true);
 
   fault::ResidualOptions options;
   options.word_bits = 4;
   options.interleave = 2;
   options.correct_per_word = 1;
   fault::ResidualStats stats;
-  const fault::FaultMask generic =
+  const fault::FaultMask residual =
       fault::apply_word_residual(mask, options, &stats);
-  for (std::int64_t slot = 0; slot < mask.num_slots(); ++slot) {
-    EXPECT_EQ(legacy.flip(slot), generic.flip(slot)) << slot;
-    EXPECT_EQ(legacy.sa0(slot), generic.sa0(slot)) << slot;
-    EXPECT_EQ(legacy.sa1(slot), generic.sa1(slot)) << slot;
-  }
+
+  fault::FaultMask expected(2, 8);
+  expected.set_flip(1, true);
+  expected.set_sa1(3, true);
+  expected.set_sa0(10, true);
+  expected.set_flip(12, true);
+  EXPECT_EQ(residual, expected);
+  EXPECT_EQ(stats.words, 4);
+  EXPECT_EQ(stats.clean_words, 1);
+  EXPECT_EQ(stats.corrected_words, 1);
+  EXPECT_EQ(stats.uncorrectable_words, 2);
+  EXPECT_EQ(stats.faulty_bits_before, 5);
+  EXPECT_EQ(stats.faulty_bits_after, 4);
+
+  EccScrubStats legacy_stats;
+  EXPECT_EQ(apply_secded_scrub(mask, EccOptions{4, 2}, &legacy_stats),
+            expected);
   EXPECT_EQ(legacy_stats.words, stats.words);
+  EXPECT_EQ(legacy_stats.clean_words, stats.clean_words);
   EXPECT_EQ(legacy_stats.corrected_words, stats.corrected_words);
   EXPECT_EQ(legacy_stats.uncorrectable_words, stats.uncorrectable_words);
+  EXPECT_EQ(legacy_stats.faulty_bits_before, stats.faulty_bits_before);
+  EXPECT_EQ(legacy_stats.faulty_bits_after, stats.faulty_bits_after);
 }
 
 TEST(Residual, EntryResidualScrubsUnionOfComponents) {

@@ -14,9 +14,9 @@
 #include "bnn/serialize.hpp"
 #include "core/rng.hpp"
 #include "fault/fault_registry.hpp"
+#include "fault/residual.hpp"
 #include "lim/crossbar.hpp"
 #include "models/zoo.hpp"
-#include "reliability/ecc.hpp"
 #include "reliability/march.hpp"
 #include "reliability/monitor.hpp"
 #include "tensor/xnor_gemm.hpp"
@@ -271,7 +271,7 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithms, MarchAlgorithms,
                          ::testing::Range(0, 4));
 
 // ---------------------------------------------------------------------------
-// ECC scrub invariants over the organization grid: the residual never
+// SEC-DED scrub invariants over the organization grid: the residual never
 // introduces faults, never grows, and scrubbing is idempotent.
 
 class EccOrganizations
@@ -279,7 +279,7 @@ class EccOrganizations
 
 TEST_P(EccOrganizations, ResidualIsSubsetAndScrubIsIdempotent) {
   const auto [word_bits, interleave, rate] = GetParam();
-  const reliability::EccOptions options{word_bits, interleave};
+  const fault::ResidualOptions options{word_bits, interleave, 1};
 
   fault::FaultSpec spec;
   spec.kind = fault::FaultKind::kStuckAt;
@@ -290,9 +290,9 @@ TEST_P(EccOrganizations, ResidualIsSubsetAndScrubIsIdempotent) {
   const fault::FaultMask original =
       fault::stack_from_spec(spec).realize(ctx, rng).front().mask;
 
-  reliability::EccScrubStats stats;
+  fault::ResidualStats stats;
   const fault::FaultMask residual =
-      reliability::apply_secded_scrub(original, options, &stats);
+      fault::apply_word_residual(original, options, &stats);
 
   // Subset: every residual fault existed in the original.
   for (std::int64_t s = 0; s < original.num_slots(); ++s) {
@@ -311,7 +311,7 @@ TEST_P(EccOrganizations, ResidualIsSubsetAndScrubIsIdempotent) {
   // Idempotent: surviving words still hold >= 2 faults, so a second pass
   // corrects nothing further.
   const fault::FaultMask twice =
-      reliability::apply_secded_scrub(residual, options);
+      fault::apply_word_residual(residual, options);
   EXPECT_EQ(twice, residual);
 }
 

@@ -14,7 +14,8 @@
 #include "lim/crossbar.hpp"
 #include "lim/memristor.hpp"
 #include "reliability/criticality.hpp"
-#include "reliability/ecc.hpp"
+#include "fault/residual.hpp"
+#include "reliability/ecc/registry.hpp"
 #include "reliability/lifetime.hpp"
 #include "reliability/march.hpp"
 #include "reliability/monitor.hpp"
@@ -232,63 +233,81 @@ TEST(MarchCoverage, RejectsZeroSamples) {
 
 // ---- SEC-DED codec -----------------------------------------------------------
 
+const ecc::Codec& secded() {
+  return ecc::CodecRegistry::instance().configure("secded");
+}
+
+ecc::BitVec bits_of(std::uint64_t word) {
+  ecc::BitVec bits(64, 0);
+  for (int i = 0; i < 64; ++i) {
+    bits[static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>((word >> i) & 1u);
+  }
+  return bits;
+}
+
+/// secded's layout: index 0 holds the overall parity and the power-of-two
+/// indices the Hamming parity; every other index holds a data bit.
+bool is_parity_index(int index) { return (index & (index - 1)) == 0; }
+
 TEST(SecDed, CleanWordsRoundTrip) {
-  const SecDedCodec codec;
+  const ecc::Codec& codec = secded();
   core::Rng rng(11);
   for (int i = 0; i < 200; ++i) {
-    const std::uint64_t data = rng();
-    const auto word = codec.encode(data);
-    const auto decoded = codec.decode(word);
-    EXPECT_EQ(decoded.status, SecDedCodec::Status::kClean);
+    const ecc::BitVec data = bits_of(rng());
+    const ecc::DecodeOutcome decoded = codec.decode(codec.encode(data));
+    EXPECT_EQ(decoded.status, ecc::DecodeStatus::kClean);
     EXPECT_EQ(decoded.data, data);
   }
 }
 
 TEST(SecDed, EverysingleDataBitErrorIsCorrected) {
-  const SecDedCodec codec;
-  const std::uint64_t data = 0xdeadbeefcafef00dull;
-  const auto clean = codec.encode(data);
-  for (int bit = 0; bit < SecDedCodec::kDataBits; ++bit) {
-    auto corrupted = clean;
-    corrupted.data ^= 1ull << bit;
-    const auto decoded = codec.decode(corrupted);
-    EXPECT_EQ(decoded.status, SecDedCodec::Status::kCorrectedSingle) << bit;
-    EXPECT_EQ(decoded.data, data) << bit;
+  const ecc::Codec& codec = secded();
+  const ecc::BitVec data = bits_of(0xdeadbeefcafef00dull);
+  const ecc::BitVec clean = codec.encode(data);
+  int data_bits = 0;
+  for (int index = 0; index < codec.capability().code_bits; ++index) {
+    if (is_parity_index(index)) continue;
+    ++data_bits;
+    ecc::BitVec corrupted = clean;
+    corrupted[static_cast<std::size_t>(index)] ^= 1;
+    const ecc::DecodeOutcome decoded = codec.decode(corrupted);
+    EXPECT_EQ(decoded.status, ecc::DecodeStatus::kCorrected) << index;
+    EXPECT_EQ(decoded.data, data) << index;
   }
+  EXPECT_EQ(data_bits, 64);
 }
 
 TEST(SecDed, EverySingleParityBitErrorLeavesDataIntact) {
-  const SecDedCodec codec;
-  const std::uint64_t data = 0x0123456789abcdefull;
-  const auto clean = codec.encode(data);
-  for (int bit = 0; bit < SecDedCodec::kParityBits; ++bit) {
-    auto corrupted = clean;
-    corrupted.parity ^= static_cast<std::uint8_t>(1 << bit);
-    const auto decoded = codec.decode(corrupted);
-    EXPECT_EQ(decoded.status, SecDedCodec::Status::kCorrectedSingle) << bit;
-    EXPECT_EQ(decoded.data, data) << bit;
+  const ecc::Codec& codec = secded();
+  const ecc::BitVec data = bits_of(0x0123456789abcdefull);
+  const ecc::BitVec clean = codec.encode(data);
+  int parity_bits = 0;
+  for (int index = 0; index < codec.capability().code_bits; ++index) {
+    if (!is_parity_index(index)) continue;
+    ++parity_bits;
+    ecc::BitVec corrupted = clean;
+    corrupted[static_cast<std::size_t>(index)] ^= 1;
+    const ecc::DecodeOutcome decoded = codec.decode(corrupted);
+    EXPECT_EQ(decoded.status, ecc::DecodeStatus::kCorrected) << index;
+    EXPECT_EQ(decoded.data, data) << index;
   }
+  EXPECT_EQ(parity_bits, 8);
 }
 
 TEST(SecDed, DoubleBitErrorsAreDetectedNotMiscorrected) {
-  const SecDedCodec codec;
+  const ecc::Codec& codec = secded();
+  const auto code_bits =
+      static_cast<std::uint64_t>(codec.capability().code_bits);
   core::Rng rng(13);
   for (int trial = 0; trial < 200; ++trial) {
-    const std::uint64_t data = rng();
-    auto corrupted = codec.encode(data);
-    const int a = static_cast<int>(rng.uniform(SecDedCodec::kCodeBits));
+    ecc::BitVec corrupted = codec.encode(bits_of(rng()));
+    const int a = static_cast<int>(rng.uniform(code_bits));
     int b = a;
-    while (b == a) b = static_cast<int>(rng.uniform(SecDedCodec::kCodeBits));
-    for (const int bit : {a, b}) {
-      if (bit < SecDedCodec::kDataBits) {
-        corrupted.data ^= 1ull << bit;
-      } else {
-        corrupted.parity ^= static_cast<std::uint8_t>(
-            1 << (bit - SecDedCodec::kDataBits));
-      }
-    }
-    const auto decoded = codec.decode(corrupted);
-    EXPECT_EQ(decoded.status, SecDedCodec::Status::kDetectedDouble)
+    while (b == a) b = static_cast<int>(rng.uniform(code_bits));
+    for (const int bit : {a, b}) corrupted[static_cast<std::size_t>(bit)] ^= 1;
+    const ecc::DecodeOutcome decoded = codec.decode(corrupted);
+    EXPECT_EQ(decoded.status, ecc::DecodeStatus::kDetected)
         << "bits " << a << "," << b;
   }
 }
@@ -296,36 +315,36 @@ TEST(SecDed, DoubleBitErrorsAreDetectedNotMiscorrected) {
 TEST(SecDed, TripleBitErrorsNeverCrashAndOftenDetect) {
   // SEC-DED guarantees nothing beyond two errors; the decoder must still
   // return a verdict (never crash, never report kClean) for triples.
-  const SecDedCodec codec;
+  const ecc::Codec& codec = secded();
+  const auto code_bits =
+      static_cast<std::uint64_t>(codec.capability().code_bits);
   core::Rng rng(17);
   for (int trial = 0; trial < 200; ++trial) {
-    const std::uint64_t data = rng();
-    auto corrupted = codec.encode(data);
+    ecc::BitVec corrupted = codec.encode(bits_of(rng()));
     std::set<int> bits;
     while (bits.size() < 3u) {
-      bits.insert(static_cast<int>(rng.uniform(SecDedCodec::kCodeBits)));
+      bits.insert(static_cast<int>(rng.uniform(code_bits)));
     }
-    for (const int bit : bits) {
-      if (bit < SecDedCodec::kDataBits) {
-        corrupted.data ^= 1ull << bit;
-      } else {
-        corrupted.parity ^= static_cast<std::uint8_t>(
-            1 << (bit - SecDedCodec::kDataBits));
-      }
-    }
-    const auto decoded = codec.decode(corrupted);
-    EXPECT_NE(decoded.status, SecDedCodec::Status::kClean);
+    for (const int bit : bits) corrupted[static_cast<std::size_t>(bit)] ^= 1;
+    const ecc::DecodeOutcome decoded = codec.decode(corrupted);
+    EXPECT_NE(decoded.status, ecc::DecodeStatus::kClean);
   }
 }
 
 // ---- ECC scrub over fault masks ----------------------------------------------
 
+/// A SEC-DED scrub pass: radius 1 over words of `word_bits` cells.
+fault::ResidualOptions secded_scrub(int word_bits = 64, int interleave = 1) {
+  return fault::ResidualOptions{word_bits, interleave, 1};
+}
+
 TEST(EccScrub, SingleFaultPerWordIsCleared) {
   fault::FaultMask mask(1, 128);  // two 64-cell words
   mask.set_sa0(3, true);
   mask.set_sa1(100, true);
-  EccScrubStats stats;
-  const fault::FaultMask residual = apply_secded_scrub(mask, {}, &stats);
+  fault::ResidualStats stats;
+  const fault::FaultMask residual =
+      fault::apply_word_residual(mask, secded_scrub(), &stats);
   EXPECT_FALSE(residual.any());
   EXPECT_EQ(stats.words, 2);
   EXPECT_EQ(stats.corrected_words, 2);
@@ -338,8 +357,9 @@ TEST(EccScrub, TwoFaultsInOneWordAreKept) {
   fault::FaultMask mask(1, 64);
   mask.set_sa0(10, true);
   mask.set_flip(20, true);  // any plane counts against the budget
-  EccScrubStats stats;
-  const fault::FaultMask residual = apply_secded_scrub(mask, {}, &stats);
+  fault::ResidualStats stats;
+  const fault::FaultMask residual =
+      fault::apply_word_residual(mask, secded_scrub(), &stats);
   EXPECT_TRUE(residual.sa0(10));
   EXPECT_TRUE(residual.flip(20));
   EXPECT_EQ(stats.uncorrectable_words, 1);
@@ -352,9 +372,9 @@ TEST(EccScrub, InterleavingSplitsAdjacentBursts) {
   burst.set_sa0(31, true);  // adjacent pair: a physical burst
 
   // Without interleaving both land in the same word: uncorrectable.
-  EXPECT_TRUE(apply_secded_scrub(burst, {64, 1}).any());
+  EXPECT_TRUE(fault::apply_word_residual(burst, secded_scrub(64, 1)).any());
   // Interleave 2 puts even/odd columns into different words: both correct.
-  EXPECT_FALSE(apply_secded_scrub(burst, {32, 2}).any());
+  EXPECT_FALSE(fault::apply_word_residual(burst, secded_scrub(32, 2)).any());
 }
 
 TEST(EccScrub, WordsDoNotSpanGridRows) {
@@ -364,9 +384,9 @@ TEST(EccScrub, WordsDoNotSpanGridRows) {
   fault::FaultMask mask(2, 32);
   mask.set_sa1(5, true);        // row 0
   mask.set_sa1(32 + 5, true);   // row 1
-  EccScrubStats stats;
+  fault::ResidualStats stats;
   const fault::FaultMask residual =
-      apply_secded_scrub(mask, {32, 1}, &stats);
+      fault::apply_word_residual(mask, secded_scrub(32, 1), &stats);
   EXPECT_FALSE(residual.any());
   EXPECT_EQ(stats.words, 2);
   EXPECT_EQ(stats.corrected_words, 2);
@@ -375,26 +395,33 @@ TEST(EccScrub, WordsDoNotSpanGridRows) {
 TEST(EccScrub, ShortTailWordIsProcessed) {
   fault::FaultMask mask(1, 70);  // one full word + a 6-cell tail
   mask.set_sa0(68, true);
-  EccScrubStats stats;
-  const fault::FaultMask residual = apply_secded_scrub(mask, {}, &stats);
+  fault::ResidualStats stats;
+  const fault::FaultMask residual =
+      fault::apply_word_residual(mask, secded_scrub(), &stats);
   EXPECT_FALSE(residual.any());
   EXPECT_EQ(stats.words, 2);
 }
 
 TEST(EccScrub, RejectsNonsenseOptions) {
   fault::FaultMask mask(1, 8);
-  EXPECT_THROW(apply_secded_scrub(mask, {0, 1}), std::invalid_argument);
-  EXPECT_THROW(apply_secded_scrub(mask, {64, 0}), std::invalid_argument);
+  EXPECT_THROW(fault::apply_word_residual(mask, secded_scrub(0, 1)),
+               std::invalid_argument);
+  EXPECT_THROW(fault::apply_word_residual(mask, secded_scrub(64, 0)),
+               std::invalid_argument);
 }
 
 TEST(EccScrub, OverheadReflectsCodeRate) {
-  EccScrubStats stats;
   // SEC-DED over w data bits costs hamming_parity_bits(w) + 1 parity
-  // cells: (72,64) -> 8/64, (39,32) -> 7/32. The old implementation
-  // hardcoded the 64-bit parity count for every organization.
-  EXPECT_DOUBLE_EQ(stats.overhead({64, 1}), 0.125);
-  EXPECT_DOUBLE_EQ(stats.overhead({32, 1}), 7.0 / 32.0);
-  EXPECT_DOUBLE_EQ(stats.overhead({8, 1}), 5.0 / 8.0);
+  // cells: (72,64) -> 8/64, (39,32) -> 7/32, (13,8) -> 5/8. Narrower words
+  // pay proportionally more.
+  const auto overhead = [](const char* expr) {
+    return ecc::CodecRegistry::instance().configure(expr).cost()
+        .parity_overhead();
+  };
+  EXPECT_DOUBLE_EQ(overhead("secded"), 0.125);
+  EXPECT_DOUBLE_EQ(overhead("hamming(d=64)"), 0.125);
+  EXPECT_DOUBLE_EQ(overhead("hamming(d=32)"), 7.0 / 32.0);
+  EXPECT_DOUBLE_EQ(overhead("hamming(d=8)"), 5.0 / 8.0);
 }
 
 // ---- online canary monitor -----------------------------------------------------
