@@ -1,6 +1,6 @@
 // Ablation A4: ECC design space at mask level.
 //
-// A4a-A4c sweep the legacy SEC-DED organization (word size x interleave):
+// A4a-A4c sweep the SEC-DED organization (word size x interleave):
 // the fraction of stuck-at faults hidden from computation ("correction
 // rate") under random cell defects and under burst defects (a damaged row
 // segment), plus the parity-cell overhead each organization pays. They
@@ -30,7 +30,6 @@
 #include "core/rng.hpp"
 #include "fault/fault_registry.hpp"
 #include "fault/residual.hpp"
-#include "reliability/ecc.hpp"
 #include "reliability/ecc/registry.hpp"
 
 using namespace flim;
@@ -179,14 +178,17 @@ int main(int argc, char** argv) {
   benchx::emit("Ablation A4b: ECC correction rate vs 8-cell burst defects",
                "ablation_ecc_burst", burst_table);
 
+  // SEC-DED over w-bit words is the extended Hamming code at d=w.
+  const reliability::ecc::CodecRegistry& registry =
+      reliability::ecc::CodecRegistry::instance();
   core::Table overhead({"organization", "parity_overhead_%"});
   for (const auto& org : organizations) {
-    reliability::EccScrubStats stats;
+    const reliability::ecc::Codec& secded = registry.configure(
+        "hamming(d=" + std::to_string(org.word_bits) + ")");
     overhead.add(
         "w" + std::to_string(org.word_bits) + "_i" +
             std::to_string(org.interleave),
-        core::format_double(
-            stats.overhead({org.word_bits, org.interleave}) * 100.0, 1));
+        core::format_double(secded.cost().parity_overhead() * 100.0, 1));
   }
   benchx::emit("Ablation A4c: parity overhead per organization",
                "ablation_ecc_overhead", overhead);
@@ -194,8 +196,6 @@ int main(int argc, char** argv) {
   // A4d: the codec Pareto table -- correction rate bought (per fault rate)
   // vs parity/column/cycle overhead paid (per codec geometry). Built from
   // the registry, so a codec added there shows up here with no bench edit.
-  const reliability::ecc::CodecRegistry& registry =
-      reliability::ecc::CodecRegistry::instance();
   core::Table pareto({"codec", "rate_%", "corrected_%", "parity_overhead_%",
                       "extra_cols", "scrub_ops"});
   for (const std::string& expr : pareto_codecs()) {

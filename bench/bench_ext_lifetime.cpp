@@ -34,8 +34,8 @@ int main() {
   stacks[1].scrub_period_hours = cfg.step_hours;
   stacks[2] = stacks[1];
   stacks[2].ecc = true;
-  stacks[2].ecc_options.word_bits = 32;  // tolerate ~2x the fault density
-  stacks[2].ecc_options.interleave = 4;
+  stacks[2].ecc_word_bits = 32;  // tolerate ~2x the fault density
+  stacks[2].ecc_interleave = 4;
   stacks[3] = stacks[2];
   stacks[3].modular_redundancy = 3;
 

@@ -15,7 +15,7 @@
 #include "core/rng.hpp"
 #include "data/synthetic_mnist.hpp"
 #include "fault/fault_registry.hpp"
-#include "reliability/ecc.hpp"
+#include "fault/residual.hpp"
 #include "reliability/monitor.hpp"
 #include "train/layers.hpp"
 #include "train/optimizer.hpp"
@@ -100,9 +100,12 @@ int main() {
             << detection.detecting_slot << "\n";
 
   // --- mitigation 1: ECC scrub repairs isolated defects ----------------------
-  reliability::EccScrubStats stats;
-  const fault::FaultMask residual = reliability::apply_secded_scrub(
-      mask, reliability::EccOptions{32, 4}, &stats);
+  // SEC-DED corrects one faulty cell per word: radius 1.
+  const fault::ResidualOptions secded{/*word_bits=*/32, /*interleave=*/4,
+                                      /*correct_per_word=*/1};
+  fault::ResidualStats stats;
+  const fault::FaultMask residual =
+      fault::apply_word_residual(mask, secded, &stats);
   bnn::FlimEngine scrubbed;
   scrubbed.set_layer_fault(stuck_entry(residual));
   const double after_ecc = model.evaluate(test, scrubbed);
@@ -117,8 +120,8 @@ int main() {
     auto engine = std::make_unique<bnn::FlimEngine>();
     const fault::FaultMask replica_mask =
         defect.realize(ctx, replica_rng).front().mask;
-    engine->set_layer_fault(stuck_entry(reliability::apply_secded_scrub(
-        replica_mask, reliability::EccOptions{32, 4})));
+    engine->set_layer_fault(
+        stuck_entry(fault::apply_word_residual(replica_mask, secded)));
     replicas.push_back(std::move(engine));
   }
   bnn::MedianVoteEngine voter(std::move(replicas));

@@ -27,7 +27,6 @@
 #include "fleet/protocol.hpp"
 #include "fleet/worker.hpp"
 #include "serve/server.hpp"
-#include "reliability/ecc.hpp"
 #include "reliability/ecc/exhaust.hpp"
 #include "reliability/ecc/exhaust_store.hpp"
 #include "reliability/ecc/registry.hpp"

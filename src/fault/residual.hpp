@@ -1,14 +1,16 @@
 // Mask-level residual application of per-word error correction.
 //
-// An ECC scrub walks the stored cells word by word and repairs every word
-// whose fault count is within the configured code's correction radius; what
-// remains is the *residual* fault mask the workload actually sees. The word
-// walk itself is codec-agnostic -- only the correction radius differs
-// between a SEC-DED scrub (1 repairable fault per word) and, say, a BCH
-// t=2 scrub -- so it lives here in fault/, below reliability/: the codec
-// subsystem configures it via ResidualOptions::correct_per_word and the
-// legacy reliability::apply_secded_scrub delegates to it with radius 1
-// (bit-identically).
+// In LIM the computation happens in place, so ECC protects the stored
+// weights between operations (by scrubbing), not the XNOR evaluation
+// itself. An ECC scrub walks the stored cells word by word and repairs
+// every word whose fault count is within the configured code's correction
+// radius; what remains is the *residual* fault mask the workload actually
+// sees. The word walk itself is codec-agnostic -- only the correction
+// radius differs between a SEC-DED scrub (1 repairable fault per word) and,
+// say, a BCH t=2 scrub -- so it lives here in fault/, below reliability/:
+// callers take the radius from a registry codec's
+// Capability::correct_guarantee (reliability/ecc/codec.hpp), and the
+// lifetime simulator's SEC-DED scrub passes 1.
 #pragma once
 
 #include <cstdint>
@@ -29,8 +31,7 @@ struct ResidualOptions {
   int correct_per_word = 1;
 };
 
-/// Tallies of one residual pass. Field-compatible with the legacy
-/// reliability::EccScrubStats (which wraps this).
+/// Tallies of one residual pass.
 struct ResidualStats {
   std::int64_t words = 0;
   std::int64_t clean_words = 0;

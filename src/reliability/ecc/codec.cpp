@@ -40,13 +40,6 @@ void CodecFamily::validate(const ModelParams& params) const {
   }
 }
 
-int hamming_parity_bits(int data_bits) {
-  FLIM_REQUIRE(data_bits >= 1, "a code needs at least one data bit");
-  int m = 2;
-  while ((1 << m) < data_bits + m + 1) ++m;
-  return m;
-}
-
 std::string canonical_codec_text(const std::string& name,
                                  const ModelParams& params) {
   std::string out = name;

@@ -1,13 +1,13 @@
 // Polymorphic ECC codecs over crossbar-stored bit vectors.
 //
-// The legacy reliability/ecc.hpp models exactly one code -- the (72,64)
-// extended Hamming SEC-DED -- as a hardwired class. This subsystem mirrors
-// the fault-registry design (fault/fault_model.hpp): each code family is a
-// plugin with a declarative parameter schema, configured instances expose
-// encode/decode/correct over plain bit vectors plus a capability report and
-// an in-crossbar cost model, and families are resolved by name through a
-// string-keyed registry (registry.hpp) from expressions such as
-// "hamming(d=64,k=8)", "hsiao(d=64,k=0)" or "bch(d=64,t=2)".
+// This subsystem mirrors the fault-registry design (fault/fault_model.hpp):
+// each code family is a plugin with a declarative parameter schema,
+// configured instances expose encode/decode/correct over plain bit vectors
+// plus a capability report and an in-crossbar cost model, and families are
+// resolved by name through a string-keyed registry (registry.hpp) from
+// expressions such as "hamming(d=64,k=8)", "hsiao(d=64,k=0)" or
+// "bch(d=64,t=2)". A scrub pass applies a configured code's correction
+// radius to a fault mask through fault/residual.hpp.
 //
 // Codewords are std::vector<uint8_t> of 0/1 values so every family --
 // whatever its internal representation -- presents one exhaustively
@@ -164,11 +164,6 @@ class CodecFamily {
   /// Builds one configured instance; `params` has been validated.
   virtual std::unique_ptr<Codec> make(const ModelParams& params) const = 0;
 };
-
-/// Smallest m with 2^m >= data_bits + m + 1: the Hamming parity-bit count
-/// of a SEC code over `data_bits` data bits (add one for SEC-DED). Shared
-/// with the legacy scrub's overhead accounting.
-int hamming_parity_bits(int data_bits);
 
 /// Canonical expression text: `name` plus the explicitly-set parameters in
 /// sorted order with shortest round-trip number formatting -- the exact

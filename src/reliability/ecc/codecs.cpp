@@ -1,13 +1,10 @@
 // Built-in linear code families: hamming (SEC / extended SEC-DED), hsiao
-// (odd-weight-column SEC-DED), and secded (the legacy (72,64) codec of
-// reliability/ecc.hpp re-registered as a plugin, bit-identical by
-// construction -- it delegates to SecDedCodec instead of reimplementing
-// it). The BCH family lives in bch.cpp.
+// (odd-weight-column SEC-DED), and secded (the (72,64) extended Hamming
+// code, identical to hamming(d=64)). The BCH family lives in bch.cpp.
 #include <bit>
 #include <utility>
 
 #include "core/check.hpp"
-#include "reliability/ecc.hpp"
 #include "reliability/ecc/codec.hpp"
 #include "reliability/ecc/registry.hpp"
 
@@ -16,6 +13,15 @@ namespace flim::reliability::ecc {
 namespace {
 
 bool is_power_of_two(int x) { return x > 0 && (x & (x - 1)) == 0; }
+
+/// Smallest m with 2^m >= data_bits + m + 1: the Hamming parity-bit count
+/// of a SEC code over `data_bits` data bits (add one for SEC-DED).
+int hamming_parity_bits(int data_bits) {
+  FLIM_REQUIRE(data_bits >= 1, "a code needs at least one data bit");
+  int m = 2;
+  while ((1 << m) < data_bits + m + 1) ++m;
+  return m;
+}
 
 /// Shared immutable-instance plumbing: identity, capability, and cost.
 class ConfiguredBase : public Codec {
@@ -408,123 +414,25 @@ class HsiaoFamily : public CodecFamily {
 };
 
 // ---------------------------------------------------------------------------
-// secded: the legacy (72,64) extended-Hamming codec as a plugin. Delegates
-// every encode/decode to reliability::SecDedCodec -- bit-identity with the
-// pre-registry scrub is by construction, not by reimplementation.
-
-class SecDedPluginCodec : public ConfiguredBase {
- public:
-  SecDedPluginCodec(std::string family, std::string canonical)
-      : ConfiguredBase(std::move(family), std::move(canonical),
-                       make_capability(),
-                       hamming_syndrome_ops(71, /*extended=*/true)) {}
-
-  BitVec encode(const BitVec& data) const override {
-    check_data(data);
-    std::uint64_t packed = 0;
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      if (data[i] != 0) packed |= std::uint64_t{1} << i;
-    }
-    return unpack(legacy_.encode(packed));
-  }
-
-  DecodeOutcome decode(const BitVec& code) const override {
-    check_code(code);
-    const SecDedCodec::DecodeResult result = legacy_.decode(pack(code));
-    DecodeOutcome out;
-    out.data.assign(static_cast<std::size_t>(SecDedCodec::kDataBits), 0);
-    for (int i = 0; i < SecDedCodec::kDataBits; ++i) {
-      out.data[static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>((result.data >> i) & 1);
-    }
-    switch (result.status) {
-      case SecDedCodec::Status::kClean:
-        out.status = DecodeStatus::kClean;
-        break;
-      case SecDedCodec::Status::kCorrectedSingle:
-        out.status = DecodeStatus::kCorrected;
-        break;
-      case SecDedCodec::Status::kDetectedDouble:
-        out.status = DecodeStatus::kDetected;
-        break;
-    }
-    return out;
-  }
-
- private:
-  static Capability make_capability() {
-    Capability cap;
-    cap.data_bits = SecDedCodec::kDataBits;
-    cap.parity_bits = SecDedCodec::kParityBits;
-    cap.code_bits = SecDedCodec::kCodeBits;
-    cap.correct_guarantee = 1;
-    cap.detect_guarantee = 2;
-    return cap;
-  }
-
-  /// Codeword layout (shared with hamming's extended layout so the two
-  /// families agree placement-for-placement): index 0 = overall parity,
-  /// index p in 1..71 = 1-based code position p (powers of two are the
-  /// legacy packed parity bits p1..p64, the rest are data bits ascending).
-  static BitVec unpack(const SecDedCodec::Codeword& word) {
-    BitVec code(static_cast<std::size_t>(SecDedCodec::kCodeBits), 0);
-    code[0] = static_cast<std::uint8_t>(word.parity & 1);
-    int data_index = 0;
-    int parity_index = 1;
-    for (int pos = 1; pos <= 71; ++pos) {
-      std::uint8_t bit = 0;
-      if (is_power_of_two(pos)) {
-        bit = static_cast<std::uint8_t>((word.parity >> parity_index) & 1);
-        ++parity_index;
-      } else {
-        bit = static_cast<std::uint8_t>((word.data >> data_index) & 1);
-        ++data_index;
-      }
-      code[static_cast<std::size_t>(pos)] = bit;
-    }
-    return code;
-  }
-
-  static SecDedCodec::Codeword pack(const BitVec& code) {
-    SecDedCodec::Codeword word;
-    word.parity = static_cast<std::uint8_t>(code[0] & 1);
-    int data_index = 0;
-    int parity_index = 1;
-    for (int pos = 1; pos <= 71; ++pos) {
-      if (code[static_cast<std::size_t>(pos)] != 0) {
-        if (is_power_of_two(pos)) {
-          word.parity |= static_cast<std::uint8_t>(1 << parity_index);
-        } else {
-          word.data |= std::uint64_t{1} << data_index;
-        }
-      }
-      if (is_power_of_two(pos)) {
-        ++parity_index;
-      } else {
-        ++data_index;
-      }
-    }
-    return word;
-  }
-
-  SecDedCodec legacy_;
-};
+// secded: the (72,64) SEC-DED code of memory scrubbing, served by the
+// extended Hamming codec at d=64 under its own family name.
 
 class SecDedFamily : public CodecFamily {
  public:
   SecDedFamily() {
     info_.name = "secded";
     info_.summary =
-        "the legacy (72,64) extended-Hamming SEC-DED scrub codec, "
-        "re-registered as a plugin (bit-identical to reliability/ecc.hpp)";
+        "the (72,64) extended Hamming SEC-DED scrub code, identical to "
+        "hamming(d=64)";
     info_.params = {};  // fixed geometry; use hamming(d=...) to resize
   }
 
   const CodecInfo& info() const override { return info_; }
 
   std::unique_ptr<Codec> make(const ModelParams& params) const override {
-    return std::make_unique<SecDedPluginCodec>(
-        info_.name, canonical_codec_text(info_.name, params));
+    return std::make_unique<HammingCodec>(
+        info_.name, canonical_codec_text(info_.name, params), 64,
+        /*extended=*/true);
   }
 
  private:

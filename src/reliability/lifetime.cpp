@@ -9,6 +9,7 @@
 #include "core/check.hpp"
 #include "core/rng.hpp"
 #include "fault/fault_vector_file.hpp"
+#include "fault/residual.hpp"
 
 namespace flim::reliability {
 
@@ -56,7 +57,9 @@ fault::FaultMask effective_mask(const GridState& state,
     if (st == 2) mask.set_sa1(s, true);
   }
   if (mitigation.ecc) {
-    mask = apply_secded_scrub(mask, mitigation.ecc_options);
+    mask = fault::apply_word_residual(
+        mask, {mitigation.ecc_word_bits, mitigation.ecc_interleave,
+               /*correct_per_word=*/1});
   }
   if (stuck_effective != nullptr) {
     *stuck_effective = mask.count_sa0() + mask.count_sa1();

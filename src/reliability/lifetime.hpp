@@ -19,7 +19,6 @@
 #include "bnn/model.hpp"
 #include "data/dataset.hpp"
 #include "lim/mapper.hpp"
-#include "reliability/ecc.hpp"
 
 namespace flim::reliability {
 
@@ -44,10 +43,16 @@ struct MitigationStack {
   bool scrub = false;
   double scrub_period_hours = 24.0;
   /// SEC-DED spare columns + remap at scrub time: wear-out faults in words
-  /// with a single faulty cell are hidden from computation (ecc.hpp).
-  /// Requires scrub (the correction happens during the scrub pass).
+  /// with a single faulty cell are hidden from computation
+  /// (fault::apply_word_residual with a correction radius of 1). Requires
+  /// scrub (the correction happens during the scrub pass).
   bool ecc = false;
-  EccOptions ecc_options;
+  /// Data cells per ECC word.
+  int ecc_word_bits = 64;
+  /// Bit interleaving degree: adjacent cells of a row belong to
+  /// `ecc_interleave` different words, so a physical burst spreads across
+  /// words and stays correctable. 1 = no interleaving.
+  int ecc_interleave = 1;
   /// N-modular redundancy: odd replica count with independent fault
   /// accumulation, combined by majority vote. 1 disables.
   int modular_redundancy = 1;

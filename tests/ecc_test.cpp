@@ -1,11 +1,10 @@
 // Unit tests for the ECC codec subsystem: registry + expression language,
 // per-family exhaustive small-codeword ground truth against closed-form
-// placement counts, the legacy-secded equivalence, combinatorial
-// unranking, the durable exhaust store (resume, sharding, merge), and the
-// codec-radius residual application in fault/.
+// placement counts and pinned tallies, the pinned secded placement
+// checksum, combinatorial unranking, the durable exhaust store (resume,
+// sharding, merge), and the codec-radius residual application in fault/.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -15,7 +14,6 @@
 
 #include "core/sysinfo.hpp"
 #include "fault/residual.hpp"
-#include "reliability/ecc.hpp"
 #include "reliability/ecc/codec.hpp"
 #include "reliability/ecc/exhaust.hpp"
 #include "reliability/ecc/exhaust_store.hpp"
@@ -230,34 +228,18 @@ TEST(Exhaust, BchGroundTruthThroughRadius) {
 }
 
 TEST(Exhaust, SecdedPluginMatchesGenericHamming) {
-  // The secded plugin wraps the legacy codec with the same codeword layout
-  // the generic extended hamming(d=64,k=8) uses, so every one of the
-  // 72 + C(72,2) placements must classify identically.
-  const ExhaustResult legacy = exhaust("secded", {1, 2});
+  // secded is the extended hamming(d=64,k=8) code under its own name, so
+  // every one of the 72 + C(72,2) placements must classify identically.
+  const ExhaustResult secded = exhaust("secded", {1, 2});
   const ExhaustResult generic = exhaust("hamming(d=64,k=8)", {1, 2});
-  ASSERT_EQ(legacy.per_weight.size(), generic.per_weight.size());
-  for (std::size_t i = 0; i < legacy.per_weight.size(); ++i) {
-    EXPECT_EQ(legacy.per_weight[i].corrected, generic.per_weight[i].corrected);
-    EXPECT_EQ(legacy.per_weight[i].detected, generic.per_weight[i].detected);
-    EXPECT_EQ(legacy.per_weight[i].aliased, generic.per_weight[i].aliased);
+  ASSERT_EQ(secded.per_weight.size(), generic.per_weight.size());
+  for (std::size_t i = 0; i < secded.per_weight.size(); ++i) {
+    EXPECT_EQ(secded.per_weight[i].corrected, generic.per_weight[i].corrected);
+    EXPECT_EQ(secded.per_weight[i].detected, generic.per_weight[i].detected);
+    EXPECT_EQ(secded.per_weight[i].aliased, generic.per_weight[i].aliased);
   }
-  EXPECT_EQ(legacy.per_weight[0].corrected, 72u);
-  EXPECT_EQ(legacy.per_weight[1].detected, ncr(72, 2));
-}
-
-/// Flips code index `index` of a legacy (72,64) codeword under the layout
-/// the registry codecs share: index 0 is the overall parity (legacy parity
-/// bit 0), a power-of-two index 2^j is Hamming parity bit j+1, and every
-/// other index is the next data bit in ascending order.
-void flip_legacy(SecDedCodec::Codeword& word, int index) {
-  const auto u = static_cast<unsigned>(index);
-  if (index == 0) {
-    word.parity ^= 1;
-  } else if ((u & (u - 1)) == 0) {
-    word.parity ^= static_cast<std::uint8_t>(1u << (std::countr_zero(u) + 1));
-  } else {
-    word.data ^= 1ull << (index - 1 - std::bit_width(u - 1));
-  }
+  EXPECT_EQ(secded.per_weight[0].corrected, 72u);
+  EXPECT_EQ(secded.per_weight[1].detected, ncr(72, 2));
 }
 
 TEST(Exhaust, SecdedPlacementsMatchPinnedChecksum) {
@@ -265,26 +247,11 @@ TEST(Exhaust, SecdedPlacementsMatchPinnedChecksum) {
   // and weight-2 placement of one fixed word, in lexicographic order.
   const Codec& secded = configure("secded");
   const BitVec data = test_word(64, 9);
-  std::uint64_t packed = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (data[static_cast<std::size_t>(i)]) packed |= 1ull << i;
-  }
-  const SecDedCodec legacy;
   std::string digest;
   const auto record = [&](const std::vector<int>& flips) {
     const DecodeOutcome outcome = decode_with_flips(secded, data, flips);
     digest.append(outcome.data.begin(), outcome.data.end());
     digest.push_back(static_cast<char>(outcome.status));
-
-    SecDedCodec::Codeword word = legacy.encode(packed);
-    for (const int p : flips) flip_legacy(word, p);
-    const SecDedCodec::DecodeResult r = legacy.decode(word);
-    std::uint64_t decoded = 0;
-    for (int i = 0; i < 64; ++i) {
-      if (outcome.data[static_cast<std::size_t>(i)]) decoded |= 1ull << i;
-    }
-    EXPECT_EQ(decoded, r.data);
-    EXPECT_EQ(static_cast<int>(outcome.status), static_cast<int>(r.status));
   };
   for (int a = 0; a < 72; ++a) record({a});
   for (int a = 0; a < 72; ++a) {
@@ -550,16 +517,6 @@ TEST(Residual, RadiusOneScrubMatchesHandPlacedPlanes) {
   EXPECT_EQ(stats.uncorrectable_words, 2);
   EXPECT_EQ(stats.faulty_bits_before, 5);
   EXPECT_EQ(stats.faulty_bits_after, 4);
-
-  EccScrubStats legacy_stats;
-  EXPECT_EQ(apply_secded_scrub(mask, EccOptions{4, 2}, &legacy_stats),
-            expected);
-  EXPECT_EQ(legacy_stats.words, stats.words);
-  EXPECT_EQ(legacy_stats.clean_words, stats.clean_words);
-  EXPECT_EQ(legacy_stats.corrected_words, stats.corrected_words);
-  EXPECT_EQ(legacy_stats.uncorrectable_words, stats.uncorrectable_words);
-  EXPECT_EQ(legacy_stats.faulty_bits_before, stats.faulty_bits_before);
-  EXPECT_EQ(legacy_stats.faulty_bits_after, stats.faulty_bits_after);
 }
 
 TEST(Residual, EntryResidualScrubsUnionOfComponents) {

@@ -680,7 +680,7 @@ TEST(LifetimeSimulator, EccHidesSparseWearoutFromComputation) {
   MitigationStack ecc;
   ecc.scrub = true;
   ecc.ecc = true;
-  ecc.ecc_options.interleave = 4;
+  ecc.ecc_interleave = 4;
   const LifetimeCurve curve =
       sim.simulate(fx.model, fx.eval_batch, fx.layers, ecc);
   // Early in life faults are sparse: most words hold at most one faulty
@@ -778,7 +778,7 @@ TEST(LifetimeSimulator, MitigationExtendsUsefulLife) {
   full.scrub = true;
   full.scrub_period_hours = cfg.step_hours;
   full.ecc = true;
-  full.ecc_options.interleave = 4;
+  full.ecc_interleave = 4;
   const LifetimeCurve mitigated =
       sim.simulate(fx.model, fx.eval_batch, fx.layers, full);
 
