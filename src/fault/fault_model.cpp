@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 
 #include "core/check.hpp"
 
@@ -37,6 +38,60 @@ ModelParams make_params(std::vector<std::pair<std::string, double>> values) {
                  "duplicate fault-model parameter: " + values[i].first);
   }
   return ModelParams(std::move(values));
+}
+
+bool TermScanner::done() {
+  while (pos_ < expr_.size() && (expr_[pos_] == ' ' || expr_[pos_] == '\t')) {
+    ++pos_;
+  }
+  return pos_ >= expr_.size();
+}
+
+bool TermScanner::accept(char c) {
+  if (done() || expr_[pos_] != c) return false;
+  ++pos_;
+  return true;
+}
+
+std::string TermScanner::name() {
+  done();
+  const std::size_t begin = pos_;
+  const auto is_name_char = [](char c) {
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+           (c >= '0' && c <= '9') || c == '_';
+  };
+  while (pos_ < expr_.size() && is_name_char(expr_[pos_])) ++pos_;
+  if (pos_ == begin) fail(begin, std::string("expected a ") + head_ + " name");
+  return expr_.substr(begin, pos_ - begin);
+}
+
+std::vector<std::pair<std::string, double>> TermScanner::params() {
+  std::vector<std::pair<std::string, double>> out;
+  if (!accept('(') || accept(')')) return out;
+  while (true) {
+    const std::string key = name();
+    if (!accept('=')) {
+      fail(pos_, "expected '=' after parameter '" + key + "'");
+    }
+    done();
+    const char* begin = expr_.c_str() + pos_;
+    char* end = nullptr;
+    const double value = std::strtod(begin, &end);
+    if (end == begin) {
+      fail(pos_, "expected a number for parameter '" + key + "'");
+    }
+    pos_ += static_cast<std::size_t>(end - begin);
+    out.emplace_back(key, value);
+    if (accept(',')) continue;
+    if (accept(')')) return out;
+    fail(pos_, "expected ',' or ')' in parameter list");
+  }
+}
+
+void TermScanner::fail(std::size_t at, const std::string& what) const {
+  FLIM_REQUIRE(false, std::string("bad ") + kind_ + " expression '" + expr_ +
+                          "' at position " + std::to_string(at) + ": " + what);
+  std::abort();  // unreachable; FLIM_REQUIRE(false, ...) always throws
 }
 
 void FaultModel::validate(const ModelParams& params) const {

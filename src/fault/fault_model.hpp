@@ -200,6 +200,39 @@ std::vector<std::int64_t> draw_sites(const ModelParams& params,
 /// and rejects duplicates.
 ModelParams make_params(std::vector<std::pair<std::string, double>> values);
 
+/// Tokenizer of the `name(key=number,...)` term grammar that fault
+/// expressions ("stuckat(rate=5e-4)+drift(tau=2)") and codec expressions
+/// ("hamming(d=64,k=8)") share. Each parser keeps what lies around a term:
+/// '+' stacking, trailing-text rejection and its registry lookup. Errors
+/// throw std::invalid_argument reading "bad <kind> expression '<expr>' at
+/// position <pos>: <what>".
+class TermScanner {
+ public:
+  /// `kind` names the expression in errors ("fault", "codec"); `head`
+  /// names what a term starts with ("model", "codec").
+  TermScanner(const std::string& expr, const char* kind, const char* head)
+      : expr_(expr), kind_(kind), head_(head) {}
+
+  /// Skips blanks; true when nothing is left.
+  bool done();
+  /// Offset of the next unread character.
+  std::size_t pos() const { return pos_; }
+  /// Skips blanks, then consumes `c` if it comes next.
+  bool accept(char c);
+  /// Reads an identifier after blanks: a term head or a parameter key.
+  std::string name();
+  /// Reads an optional "(key=number,...)" list; no list reads as empty.
+  std::vector<std::pair<std::string, double>> params();
+  /// Throws the positioned parse error.
+  [[noreturn]] void fail(std::size_t at, const std::string& what) const;
+
+ private:
+  const std::string& expr_;
+  const char* kind_;
+  const char* head_;
+  std::size_t pos_ = 0;
+};
+
 /// Value of an explicitly-set parameter of a realized component, or
 /// `fallback` when the component's expression omitted it.
 double realized_param(const RealizedFault& fault, const std::string& name,

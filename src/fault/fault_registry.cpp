@@ -540,48 +540,17 @@ FaultVectorEntry FaultStack::realize_entry(const std::string& layer_name,
   return entry;
 }
 
-namespace {
-
-bool is_name_char(char c) {
-  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-         (c >= '0' && c <= '9') || c == '_';
-}
-
-[[noreturn]] void parse_fail(const std::string& expr, std::size_t pos,
-                             const std::string& what) {
-  FLIM_REQUIRE(false, "bad fault expression '" + expr + "' at position " +
-                          std::to_string(pos) + ": " + what);
-  std::abort();  // unreachable; FLIM_REQUIRE(false, ...) always throws
-}
-
-}  // namespace
-
 FaultStack parse_fault_expr(const std::string& expr) {
   const FaultRegistry& registry = FaultRegistry::instance();
-  std::vector<FaultStackItem> items;
-  std::size_t pos = 0;
-  const auto skip_ws = [&] {
-    while (pos < expr.size() &&
-           (expr[pos] == ' ' || expr[pos] == '\t')) {
-      ++pos;
-    }
-  };
-  const auto parse_name = [&]() -> std::string {
-    skip_ws();
-    const std::size_t begin = pos;
-    while (pos < expr.size() && is_name_char(expr[pos])) ++pos;
-    if (pos == begin) parse_fail(expr, begin, "expected a model name");
-    return expr.substr(begin, pos - begin);
-  };
-
-  skip_ws();
-  if (pos >= expr.size()) {
+  TermScanner scan(expr, "fault", "model");
+  if (scan.done()) {
     FLIM_REQUIRE(false, "empty fault expression (expected e.g. "
                         "\"bitflip(rate=1e-3)\")");
   }
+  std::vector<FaultStackItem> items;
   while (true) {
-    const std::size_t name_pos = pos;
-    const std::string name = parse_name();
+    const std::size_t name_pos = scan.pos();
+    const std::string name = scan.name();
     const FaultModel* model = registry.find(name);
     if (model == nullptr) {
       std::string known;
@@ -589,63 +558,20 @@ FaultStack parse_fault_expr(const std::string& expr) {
         if (!known.empty()) known += ", ";
         known += m->info().name;
       }
-      parse_fail(expr, name_pos,
-                 "unknown fault model '" + name + "' (registered models: " +
-                     known + ")");
-    }
-
-    std::vector<std::pair<std::string, double>> params;
-    skip_ws();
-    if (pos < expr.size() && expr[pos] == '(') {
-      ++pos;
-      skip_ws();
-      if (pos < expr.size() && expr[pos] == ')') {
-        ++pos;  // empty parameter list
-      } else {
-        while (true) {
-          const std::string key = parse_name();
-          skip_ws();
-          if (pos >= expr.size() || expr[pos] != '=') {
-            parse_fail(expr, pos, "expected '=' after parameter '" + key +
-                                      "'");
-          }
-          ++pos;
-          skip_ws();
-          const char* begin = expr.c_str() + pos;
-          char* end = nullptr;
-          const double value = std::strtod(begin, &end);
-          if (end == begin) {
-            parse_fail(expr, pos, "expected a number for parameter '" + key +
-                                      "'");
-          }
-          pos += static_cast<std::size_t>(end - begin);
-          params.emplace_back(key, value);
-          skip_ws();
-          if (pos < expr.size() && expr[pos] == ',') {
-            ++pos;
-            continue;
-          }
-          if (pos < expr.size() && expr[pos] == ')') {
-            ++pos;
-            break;
-          }
-          parse_fail(expr, pos, "expected ',' or ')' in parameter list");
-        }
-      }
+      scan.fail(name_pos, "unknown fault model '" + name +
+                              "' (registered models: " + known + ")");
     }
 
     FaultStackItem item;
     item.model = model;
-    item.params = make_params(std::move(params));
+    item.params = make_params(scan.params());
     model->validate(item.params);
     items.push_back(std::move(item));
 
-    skip_ws();
-    if (pos >= expr.size()) break;
-    if (expr[pos] != '+') {
-      parse_fail(expr, pos, "expected '+' between stacked models");
+    if (scan.done()) break;
+    if (!scan.accept('+')) {
+      scan.fail(scan.pos(), "expected '+' between stacked models");
     }
-    ++pos;
   }
   return FaultStack(std::move(items));
 }

@@ -1,7 +1,7 @@
 #include "reliability/ecc/registry.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <utility>
 
 #include "core/check.hpp"
 
@@ -99,45 +99,15 @@ std::string ParsedCodec::canonical() const {
   return canonical_codec_text(family->info().name, params);
 }
 
-namespace {
-
-bool is_name_char(char c) {
-  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-         (c >= '0' && c <= '9') || c == '_';
-}
-
-[[noreturn]] void parse_fail(const std::string& expr, std::size_t pos,
-                             const std::string& what) {
-  FLIM_REQUIRE(false, "bad codec expression '" + expr + "' at position " +
-                          std::to_string(pos) + ": " + what);
-  std::abort();  // unreachable; FLIM_REQUIRE(false, ...) always throws
-}
-
-}  // namespace
-
 ParsedCodec parse_codec_expr(const std::string& expr) {
   const CodecRegistry& registry = CodecRegistry::instance();
-  std::size_t pos = 0;
-  const auto skip_ws = [&] {
-    while (pos < expr.size() && (expr[pos] == ' ' || expr[pos] == '\t')) {
-      ++pos;
-    }
-  };
-  const auto parse_name = [&]() -> std::string {
-    skip_ws();
-    const std::size_t begin = pos;
-    while (pos < expr.size() && is_name_char(expr[pos])) ++pos;
-    if (pos == begin) parse_fail(expr, begin, "expected a codec name");
-    return expr.substr(begin, pos - begin);
-  };
-
-  skip_ws();
-  if (pos >= expr.size()) {
+  fault::TermScanner scan(expr, "codec", "codec");
+  if (scan.done()) {
     FLIM_REQUIRE(false, "empty codec expression (expected e.g. "
                         "\"hamming(d=64,k=8)\")");
   }
-  const std::size_t name_pos = pos;
-  const std::string name = parse_name();
+  const std::size_t name_pos = scan.pos();
+  const std::string name = scan.name();
   const CodecFamily* family = registry.find(name);
   if (family == nullptr) {
     std::string known;
@@ -145,51 +115,13 @@ ParsedCodec parse_codec_expr(const std::string& expr) {
       if (!known.empty()) known += ", ";
       known += f->info().name;
     }
-    parse_fail(expr, name_pos, "unknown ecc codec '" + name +
-                                   "' (registered codecs: " + known + ")");
+    scan.fail(name_pos, "unknown ecc codec '" + name +
+                            "' (registered codecs: " + known + ")");
   }
 
-  std::vector<std::pair<std::string, double>> params;
-  skip_ws();
-  if (pos < expr.size() && expr[pos] == '(') {
-    ++pos;
-    skip_ws();
-    if (pos < expr.size() && expr[pos] == ')') {
-      ++pos;  // empty parameter list
-    } else {
-      while (true) {
-        const std::string key = parse_name();
-        skip_ws();
-        if (pos >= expr.size() || expr[pos] != '=') {
-          parse_fail(expr, pos, "expected '=' after parameter '" + key + "'");
-        }
-        ++pos;
-        skip_ws();
-        const char* begin = expr.c_str() + pos;
-        char* end = nullptr;
-        const double value = std::strtod(begin, &end);
-        if (end == begin) {
-          parse_fail(expr, pos,
-                     "expected a number for parameter '" + key + "'");
-        }
-        pos += static_cast<std::size_t>(end - begin);
-        params.emplace_back(key, value);
-        skip_ws();
-        if (pos < expr.size() && expr[pos] == ',') {
-          ++pos;
-          continue;
-        }
-        if (pos < expr.size() && expr[pos] == ')') {
-          ++pos;
-          break;
-        }
-        parse_fail(expr, pos, "expected ',' or ')' in parameter list");
-      }
-    }
-  }
-  skip_ws();
-  if (pos < expr.size()) {
-    parse_fail(expr, pos, "trailing text after the codec term (a codeword "
+  std::vector<std::pair<std::string, double>> params = scan.params();
+  if (!scan.done()) {
+    scan.fail(scan.pos(), "trailing text after the codec term (a codeword "
                           "is protected by exactly one code; there is no "
                           "'+' composition)");
   }
