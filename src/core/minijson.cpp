@@ -1,7 +1,10 @@
 #include "core/minijson.hpp"
 
 #include <charconv>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <type_traits>
 
 namespace flim::core {
 
@@ -193,5 +196,51 @@ const std::vector<JsonValue>& json_array(
   }
   return v.items;
 }
+
+std::uint64_t json_u64_string(const std::map<std::string, JsonValue>& obj,
+                              const char* key) {
+  const std::string text = json_string(obj, key);
+  const char* end = text.data() + text.size();
+  std::uint64_t value = 0;
+  // Unsigned from_chars takes decimal digits only: no sign, no blanks.
+  const auto result = std::from_chars(text.data(), end, value);
+  if (text.empty() || result.ec != std::errc() || result.ptr != end) {
+    throw JsonError{std::string("field ") + key +
+                    " is not a 64-bit unsigned integer: \"" + text + "\""};
+  }
+  return value;
+}
+
+template <typename T>
+T json_int(const JsonValue& v, const std::string& what, T lo, T hi) {
+  if (v.kind != JsonValue::Kind::kNumber) {
+    throw JsonError{what + " is not a number"};
+  }
+  // T holds [-2^digits, 2^digits) when signed and [0, 2^digits) otherwise.
+  // Both bounds are exact in binary64; NaN fails every comparison and the
+  // infinities fail one, so the cast below is always defined.
+  const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  const double d = v.number;
+  if (!(d >= (std::is_signed_v<T> ? -limit : 0.0) && d < limit) ||
+      d != std::trunc(d)) {
+    char text[32];
+    std::snprintf(text, sizeof text, "%.15g", d);
+    throw JsonError{what + " is not an integer in range: " + text};
+  }
+  const auto value = static_cast<T>(d);
+  if (value < lo || value > hi) {
+    throw JsonError{what + " is out of range [" + std::to_string(lo) + ", " +
+                    std::to_string(hi) + "]: " + std::to_string(value)};
+  }
+  return value;
+}
+
+template int json_int<int>(const JsonValue&, const std::string&, int, int);
+template std::int64_t json_int<std::int64_t>(const JsonValue&,
+                                             const std::string&, std::int64_t,
+                                             std::int64_t);
+template std::uint64_t json_int<std::uint64_t>(const JsonValue&,
+                                               const std::string&,
+                                               std::uint64_t, std::uint64_t);
 
 }  // namespace flim::core

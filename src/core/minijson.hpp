@@ -14,6 +14,8 @@
 /// Minimal JSON values and the one-line object parser shared by the durable
 /// campaign store and the fleet wire protocol.
 
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -54,5 +56,40 @@ std::string json_string(const std::map<std::string, JsonValue>& obj,
                         const char* key);
 const std::vector<JsonValue>& json_array(
     const std::map<std::string, JsonValue>& obj, const char* key);
+
+/// Reads a 64-bit unsigned value stored as a string (JSON numbers decay to
+/// binary64, which cannot hold every such value). Throws JsonError unless
+/// the string is all decimal digits and fits in 64 bits.
+std::uint64_t json_u64_string(const std::map<std::string, JsonValue>& obj,
+                              const char* key);
+
+/// Checked conversion of a parsed number to integer type T (int,
+/// std::int64_t or std::uint64_t): throws JsonError unless `v` is a number
+/// that is finite, integral and within [lo, hi]. Works on array elements;
+/// `what` names the value in the error.
+template <typename T>
+T json_int(const JsonValue& v, const std::string& what,
+           T lo = std::numeric_limits<T>::min(),
+           T hi = std::numeric_limits<T>::max());
+
+extern template int json_int<int>(const JsonValue&, const std::string&, int,
+                                  int);
+extern template std::int64_t json_int<std::int64_t>(const JsonValue&,
+                                                    const std::string&,
+                                                    std::int64_t,
+                                                    std::int64_t);
+extern template std::uint64_t json_int<std::uint64_t>(const JsonValue&,
+                                                      const std::string&,
+                                                      std::uint64_t,
+                                                      std::uint64_t);
+
+/// json_int over field `key` of a parsed object.
+template <typename T>
+T json_int(const std::map<std::string, JsonValue>& obj, const char* key,
+           T lo = std::numeric_limits<T>::min(),
+           T hi = std::numeric_limits<T>::max()) {
+  return json_int<T>(json_field(obj, key), std::string("field ") + key, lo,
+                     hi);
+}
 
 }  // namespace flim::core

@@ -1,6 +1,5 @@
 #include "reliability/ecc/exhaust_store.hpp"
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -23,8 +22,9 @@ namespace {
 using core::JsonError;
 using core::JsonValue;
 using core::json_array;
-using core::json_number;
+using core::json_int;
 using core::json_string;
+using core::json_u64_string;
 
 std::string quote(const std::string& s) {
   return '"' + core::json_escape(s) + '"';
@@ -69,58 +69,49 @@ std::string chunk_line(const ChunkCounts& c) {
   return os.str();
 }
 
-std::uint64_t parse_u64(const std::string& text) {
-  return std::strtoull(text.c_str(), nullptr, 10);
-}
-
 ExhaustHeader parse_header(const std::string& line) {
   const auto obj = core::parse_json_object_line(line);
   ExhaustHeader h;
-  h.format = static_cast<int>(json_number(obj, "flim_exhaust_format"));
+  h.format = json_int<int>(obj, "flim_exhaust_format");
   h.codec = json_string(obj, "codec");
   h.fingerprint = json_string(obj, "fingerprint");
   h.library_version = json_string(obj, "library_version");
-  h.data_seed = parse_u64(json_string(obj, "data_seed"));
+  h.data_seed = json_u64_string(obj, "data_seed");
   const std::string mode = json_string(obj, "mode");
   if (mode != "burst" && mode != "combination") {
     throw JsonError{"unknown exhaust mode: " + mode};
   }
   h.burst = (mode == "burst");
-  h.chunk = parse_u64(json_string(obj, "chunk"));
+  h.chunk = json_u64_string(obj, "chunk");
   for (const JsonValue& v : json_array(obj, "weights")) {
-    if (v.kind != JsonValue::Kind::kNumber) {
-      throw JsonError{"weights entry is not a number"};
-    }
-    h.weights.push_back(static_cast<int>(v.number));
+    h.weights.push_back(json_int<int>(v, "weights entry"));
   }
-  h.code_bits = static_cast<int>(json_number(obj, "code_bits"));
-  h.total_chunks = parse_u64(json_string(obj, "total_chunks"));
-  h.total_placements = parse_u64(json_string(obj, "total_placements"));
-  h.shard_index = static_cast<int>(json_number(obj, "shard_index"));
-  h.shard_count = static_cast<int>(json_number(obj, "shard_count"));
+  h.code_bits = json_int<int>(obj, "code_bits");
+  h.total_chunks = json_u64_string(obj, "total_chunks");
+  h.total_placements = json_u64_string(obj, "total_placements");
+  h.shard_index = json_int<int>(obj, "shard_index");
+  h.shard_count = json_int<int>(obj, "shard_count");
   return h;
 }
 
 ChunkCounts parse_chunk(const std::string& line) {
   const auto obj = core::parse_json_object_line(line);
   ChunkCounts c;
-  c.chunk_index = parse_u64(json_string(obj, "chunk"));
+  c.chunk_index = json_u64_string(obj, "chunk");
   const std::vector<JsonValue>& flat = json_array(obj, "counts");
   if (flat.size() % 5 != 0) {
     throw JsonError{"counts array is not a multiple of five"};
   }
+  const auto tally = [&](std::size_t i) {
+    return json_int<std::uint64_t>(flat[i], "counts entry");
+  };
   for (std::size_t i = 0; i < flat.size(); i += 5) {
-    for (std::size_t j = 0; j < 5; ++j) {
-      if (flat[i + j].kind != JsonValue::Kind::kNumber) {
-        throw JsonError{"counts entry is not a number"};
-      }
-    }
     WeightCounts wc;
-    wc.weight = static_cast<int>(flat[i].number);
-    wc.placements = static_cast<std::uint64_t>(flat[i + 1].number);
-    wc.corrected = static_cast<std::uint64_t>(flat[i + 2].number);
-    wc.detected = static_cast<std::uint64_t>(flat[i + 3].number);
-    wc.aliased = static_cast<std::uint64_t>(flat[i + 4].number);
+    wc.weight = json_int<int>(flat[i], "counts entry");
+    wc.placements = tally(i + 1);
+    wc.corrected = tally(i + 2);
+    wc.detected = tally(i + 3);
+    wc.aliased = tally(i + 4);
     c.counts.push_back(wc);
   }
   return c;
@@ -218,13 +209,6 @@ ExhaustFile ExhaustFile::load(const std::string& path) {
   }
   FLIM_REQUIRE(have_header, "exhaust store has no header line: " + path);
   return file;
-}
-
-bool ExhaustFile::has(std::uint64_t chunk_index) const {
-  for (const ChunkCounts& c : chunks) {
-    if (c.chunk_index == chunk_index) return true;
-  }
-  return false;
 }
 
 std::uint64_t ExhaustFile::owned_chunks() const {
@@ -331,10 +315,16 @@ ExhaustResult merge_exhaust_files(const std::vector<std::string>& paths) {
                        " (shard stores must be disjoint)");
     }
   }
+  std::string torn;
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    if (files[i].truncated_tail) {
+      torn += "; " + paths[i] + " stops at a torn or malformed line";
+    }
+  }
   FLIM_REQUIRE(merged.size() == plan.total_chunks,
                "merged exhaust stores cover " + std::to_string(merged.size()) +
                    " of " + std::to_string(plan.total_chunks) +
-                   " chunks (missing shards?)");
+                   " chunks (missing shards?)" + torn);
 
   std::vector<ChunkCounts> chunks;
   chunks.reserve(merged.size());

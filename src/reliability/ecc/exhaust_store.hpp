@@ -86,9 +86,6 @@ struct ExhaustFile {
   /// header; a malformed chunk line ends the scan gracefully.
   static ExhaustFile load(const std::string& path);
 
-  /// True when the file holds chunk `chunk_index`.
-  bool has(std::uint64_t chunk_index) const;
-
   /// Chunks this file's shard owns (its progress denominator).
   std::uint64_t owned_chunks() const;
 

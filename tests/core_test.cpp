@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <set>
 
 #include "core/backoff.hpp"
@@ -561,6 +562,52 @@ TEST(MiniJson, RejectsMalformedInputWithJsonError) {
   const auto obj = parse_json_object_line("{\"k\": 1}");
   EXPECT_THROW(json_string(obj, "k"), JsonError);
   EXPECT_THROW(json_number(obj, "missing"), JsonError);
+}
+
+TEST(MiniJson, IntAcceptsOnlyFiniteIntegralNumbersInRange) {
+  const auto obj = parse_json_object_line(
+      R"({"i": -7, "big": 1e30, "frac": 2.9, "s": "3", )"
+      R"("two63": 9223372036854775808, "two64": 18446744073709551616, )"
+      R"("a": [4, 16.5, -5]})");
+  EXPECT_EQ(json_int<int>(obj, "i"), -7);
+  EXPECT_EQ(json_int<int>(obj, "i", -10, 0), -7);
+  EXPECT_THROW(json_int<int>(obj, "i", 0, 10), JsonError);
+  EXPECT_THROW(json_int<std::uint64_t>(obj, "i"), JsonError);
+  EXPECT_THROW(json_int<int>(obj, "big"), JsonError);
+  EXPECT_THROW(json_int<std::uint64_t>(obj, "big"), JsonError);
+  EXPECT_THROW(json_int<int>(obj, "frac"), JsonError);
+  EXPECT_THROW(json_int<int>(obj, "s"), JsonError);
+  EXPECT_THROW(json_int<int>(obj, "missing"), JsonError);
+  // 2^63 fits an unsigned 64-bit value but not a signed one; 2^64 neither.
+  EXPECT_EQ(json_int<std::uint64_t>(obj, "two63"), std::uint64_t{1} << 63);
+  EXPECT_THROW(json_int<std::int64_t>(obj, "two63"), JsonError);
+  EXPECT_THROW(json_int<std::uint64_t>(obj, "two64"), JsonError);
+
+  const std::vector<JsonValue>& items = json_array(obj, "a");
+  EXPECT_EQ(json_int<int>(items[0], "a[0]"), 4);
+  EXPECT_THROW(json_int<std::uint64_t>(items[1], "a[1]"), JsonError);
+  EXPECT_THROW(json_int<std::uint64_t>(items[2], "a[2]"), JsonError);
+
+  JsonValue odd;
+  for (const double v : {std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    odd.number = v;
+    EXPECT_THROW(json_int<std::int64_t>(odd, "odd"), JsonError) << v;
+  }
+}
+
+TEST(MiniJson, U64StringAcceptsOnlyDigitsInRange) {
+  const auto obj = parse_json_object_line(
+      R"({"max": "18446744073709551615", "zero": "0", )"
+      R"("over": "18446744073709551616", "neg": "-1", "plus": "+1", )"
+      R"("blank": " 1", "empty": "", "hex": "0x1", "tail": "12a", "num": 12})");
+  EXPECT_EQ(json_u64_string(obj, "max"), ~std::uint64_t{0});
+  EXPECT_EQ(json_u64_string(obj, "zero"), 0u);
+  for (const char* key : {"over", "neg", "plus", "blank", "empty", "hex",
+                          "tail", "num", "missing"}) {
+    EXPECT_THROW(json_u64_string(obj, key), JsonError) << key;
+  }
 }
 
 TEST(Check, RequireThrowsWithMessage) {

@@ -409,6 +409,71 @@ TEST_F(ExhaustStoreTest, MergeRejectsIncompleteShardSets) {
                std::invalid_argument);
 }
 
+TEST_F(ExhaustStoreTest, MergeRejectsMalformedNumbers) {
+  // One-chunk hamming(d=8) store; each copy replaces the chunk line (or
+  // a header field) by hand. Tallies are (weight, placements, corrected,
+  // detected, aliased) groups.
+  ExhaustSpec spec;
+  spec.codec_expr = "hamming(d=8)";
+  spec.weights = {1, 2};
+  run_exhaust(spec, path("clean.jsonl"), 0, 1, 1);
+  std::ifstream in(path("clean.jsonl"), std::ios::binary);
+  std::string header;
+  std::getline(in, header);
+  in.close();
+
+  const auto write = [&](const std::string& name, const std::string& head,
+                         const std::string& chunk) {
+    std::ofstream out(path(name), std::ios::binary | std::ios::trunc);
+    out << head << "\n" << chunk << "\n";
+    return path(name);
+  };
+  const std::string good =
+      R"({"chunk": "0", "counts": [1, 13, 13, 0, 0, 2, 78, 0, 78, 0]})";
+  EXPECT_EQ(merge_exhaust_files({write("good.jsonl", header, good)})
+                .per_weight[1]
+                .detected,
+            78u);
+
+  for (const char* chunk : {
+           // detected = 1e30
+           R"({"chunk": "0", "counts": [1, 13, 13, 0, 0, 2, 78, 0, 1e30, 0]})",
+           // corrected = -5
+           R"({"chunk": "0", "counts": [1, 13, -5, 0, 0, 2, 78, 0, 78, 0]})",
+           // weight = 2.9
+           R"({"chunk": "0", "counts": [1, 13, 13, 0, 0, 2.9, 78, 0, 78, 0]})",
+           // a tally of 16.5
+           R"({"chunk": "0", "counts": [1, 13, 13, 0, 0, 2, 78, 0, 16.5, 0]})",
+           // a chunk index that is not all digits
+           R"({"chunk": "0x", "counts": [1, 13, 13, 0, 0, 2, 78, 0, 78, 0]})",
+       }) {
+    EXPECT_THROW(merge_exhaust_files({write("bad.jsonl", header, chunk)}),
+                 std::invalid_argument)
+        << chunk;
+  }
+
+  const auto with = [&](const std::string& from, const std::string& to) {
+    std::string edited = header;
+    const std::size_t at = edited.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) edited.replace(at, from.size(), to);
+    return edited;
+  };
+  for (const std::string& head : {
+           with(R"("data_seed": "2023")", R"("data_seed": "-2023")"),
+           with(R"("total_chunks": "1")", R"("total_chunks": "1x")"),
+           with(R"("total_placements": "91")",
+                R"("total_placements": "99999999999999999999")"),
+           with(R"("code_bits": 13)", R"("code_bits": 13.5)"),
+           with(R"("shard_count": 1)", R"("shard_count": 1e30)"),
+           with(R"("weights": [1, 2])", R"("weights": [1, 2.5])"),
+       }) {
+    EXPECT_THROW(merge_exhaust_files({write("bad_header.jsonl", head, good)}),
+                 std::invalid_argument)
+        << head;
+  }
+}
+
 TEST_F(ExhaustStoreTest, ResumesFromTornTail) {
   const ExhaustSpec spec = small_spec();
   const ExhaustResult fresh = run_exhaust(spec, path("run.jsonl"), 0, 1, 1);
