@@ -4,9 +4,12 @@
 //  * serialization idempotence over the whole model zoo.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <ostream>
+#include <string>
 #include <tuple>
 
 #include "bnn/engine.hpp"
@@ -32,6 +35,18 @@ struct DeviceCorner {
   double r_off_over_r_on;
   lim::LogicFamilyKind family;
 };
+
+// Prints a corner as e.g. magic_s12_w1000. Without it gtest prints the raw
+// bytes, padding included, so the test IDs change from one process to the
+// next.
+void PrintTo(const DeviceCorner& corner, std::ostream* os) {
+  std::string family = lim::to_string(corner.family);
+  for (char& c : family) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  *os << family << "_s" << corner.steps_per_pulse << "_w"
+      << static_cast<long long>(corner.r_off_over_r_on);
+}
 
 class GateAcrossCorners : public ::testing::TestWithParam<DeviceCorner> {};
 
