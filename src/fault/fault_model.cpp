@@ -40,10 +40,14 @@ ModelParams make_params(std::vector<std::pair<std::string, double>> values) {
   return ModelParams(std::move(values));
 }
 
-bool TermScanner::done() {
+void TermScanner::skip_blanks() {
   while (pos_ < expr_.size() && (expr_[pos_] == ' ' || expr_[pos_] == '\t')) {
     ++pos_;
   }
+}
+
+bool TermScanner::done() {
+  skip_blanks();
   return pos_ >= expr_.size();
 }
 
@@ -54,7 +58,7 @@ bool TermScanner::accept(char c) {
 }
 
 std::string TermScanner::name() {
-  done();
+  skip_blanks();
   const std::size_t begin = pos_;
   const auto is_name_char = [](char c) {
     return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
@@ -73,7 +77,7 @@ std::vector<std::pair<std::string, double>> TermScanner::params() {
     if (!accept('=')) {
       fail(pos_, "expected '=' after parameter '" + key + "'");
     }
-    done();
+    skip_blanks();
     const char* begin = expr_.c_str() + pos_;
     char* end = nullptr;
     const double value = std::strtod(begin, &end);

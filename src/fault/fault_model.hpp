@@ -227,6 +227,8 @@ class TermScanner {
   [[noreturn]] void fail(std::size_t at, const std::string& what) const;
 
  private:
+  void skip_blanks();
+
   const std::string& expr_;
   const char* kind_;
   const char* head_;
