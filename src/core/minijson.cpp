@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <type_traits>
 
 namespace flim::core {
@@ -212,7 +213,7 @@ std::uint64_t json_u64_string(const std::map<std::string, JsonValue>& obj,
 }
 
 template <typename T>
-T json_int(const JsonValue& v, const std::string& what, T lo, T hi) {
+T json_int(const JsonValue& v, const std::string& what) {
   if (v.kind != JsonValue::Kind::kNumber) {
     throw JsonError{what + " is not a number"};
   }
@@ -223,24 +224,15 @@ T json_int(const JsonValue& v, const std::string& what, T lo, T hi) {
   const double d = v.number;
   if (!(d >= (std::is_signed_v<T> ? -limit : 0.0) && d < limit) ||
       d != std::trunc(d)) {
-    char text[32];
+    char text[32] = {};
     std::snprintf(text, sizeof text, "%.15g", d);
     throw JsonError{what + " is not an integer in range: " + text};
   }
-  const auto value = static_cast<T>(d);
-  if (value < lo || value > hi) {
-    throw JsonError{what + " is out of range [" + std::to_string(lo) + ", " +
-                    std::to_string(hi) + "]: " + std::to_string(value)};
-  }
-  return value;
+  return static_cast<T>(d);
 }
 
-template int json_int<int>(const JsonValue&, const std::string&, int, int);
-template std::int64_t json_int<std::int64_t>(const JsonValue&,
-                                             const std::string&, std::int64_t,
-                                             std::int64_t);
+template int json_int<int>(const JsonValue&, const std::string&);
 template std::uint64_t json_int<std::uint64_t>(const JsonValue&,
-                                               const std::string&,
-                                               std::uint64_t, std::uint64_t);
+                                               const std::string&);
 
 }  // namespace flim::core

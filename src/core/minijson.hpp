@@ -15,7 +15,6 @@
 /// campaign store and the fleet wire protocol.
 
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -63,33 +62,21 @@ const std::vector<JsonValue>& json_array(
 std::uint64_t json_u64_string(const std::map<std::string, JsonValue>& obj,
                               const char* key);
 
-/// Checked conversion of a parsed number to integer type T (int,
-/// std::int64_t or std::uint64_t): throws JsonError unless `v` is a number
-/// that is finite, integral and within [lo, hi]. Works on array elements;
-/// `what` names the value in the error.
+/// Checked conversion of a parsed number to integer type T (int or
+/// std::uint64_t): throws JsonError unless `v` is a number that is finite,
+/// integral and inside T's range. Works on array elements; `what` names
+/// the value in the error.
 template <typename T>
-T json_int(const JsonValue& v, const std::string& what,
-           T lo = std::numeric_limits<T>::min(),
-           T hi = std::numeric_limits<T>::max());
+T json_int(const JsonValue& v, const std::string& what);
 
-extern template int json_int<int>(const JsonValue&, const std::string&, int,
-                                  int);
-extern template std::int64_t json_int<std::int64_t>(const JsonValue&,
-                                                    const std::string&,
-                                                    std::int64_t,
-                                                    std::int64_t);
+extern template int json_int<int>(const JsonValue&, const std::string&);
 extern template std::uint64_t json_int<std::uint64_t>(const JsonValue&,
-                                                      const std::string&,
-                                                      std::uint64_t,
-                                                      std::uint64_t);
+                                                      const std::string&);
 
 /// json_int over field `key` of a parsed object.
 template <typename T>
-T json_int(const std::map<std::string, JsonValue>& obj, const char* key,
-           T lo = std::numeric_limits<T>::min(),
-           T hi = std::numeric_limits<T>::max()) {
-  return json_int<T>(json_field(obj, key), std::string("field ") + key, lo,
-                     hi);
+T json_int(const std::map<std::string, JsonValue>& obj, const char* key) {
+  return json_int<T>(json_field(obj, key), std::string("field ") + key);
 }
 
 }  // namespace flim::core

@@ -296,13 +296,16 @@ ExhaustResult merge_exhaust_files(const std::vector<std::string>& paths) {
   }
 
   // Rebuild the spec/plan from the (fingerprint-validated) header so the
-  // fold checks chunk ranges and weights against the original layout.
-  ExhaustSpec spec;
-  spec.codec_expr = first.codec;
-  spec.weights = first.weights;
-  spec.burst = first.burst;
-  spec.data_seed = first.data_seed;
-  spec.chunk = first.chunk;
+  // fold checks chunk ranges and weights against the original layout. The
+  // header is outside input: normalizing rejects a zero chunk size or a
+  // weight the codec cannot hold before planning divides or counts by them.
+  ExhaustSpec raw;
+  raw.codec_expr = first.codec;
+  raw.weights = first.weights;
+  raw.burst = first.burst;
+  raw.data_seed = first.data_seed;
+  raw.chunk = first.chunk;
+  const ExhaustSpec spec = normalize_exhaust_spec(raw);
   const ExhaustPlan plan = plan_exhaust(spec);
 
   std::map<std::uint64_t, const ChunkCounts*> merged;

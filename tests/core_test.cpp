@@ -567,20 +567,21 @@ TEST(MiniJson, RejectsMalformedInputWithJsonError) {
 TEST(MiniJson, IntAcceptsOnlyFiniteIntegralNumbersInRange) {
   const auto obj = parse_json_object_line(
       R"({"i": -7, "big": 1e30, "frac": 2.9, "s": "3", )"
+      R"("min": -2147483648, "two31": 2147483648, )"
       R"("two63": 9223372036854775808, "two64": 18446744073709551616, )"
       R"("a": [4, 16.5, -5]})");
   EXPECT_EQ(json_int<int>(obj, "i"), -7);
-  EXPECT_EQ(json_int<int>(obj, "i", -10, 0), -7);
-  EXPECT_THROW(json_int<int>(obj, "i", 0, 10), JsonError);
   EXPECT_THROW(json_int<std::uint64_t>(obj, "i"), JsonError);
   EXPECT_THROW(json_int<int>(obj, "big"), JsonError);
   EXPECT_THROW(json_int<std::uint64_t>(obj, "big"), JsonError);
   EXPECT_THROW(json_int<int>(obj, "frac"), JsonError);
   EXPECT_THROW(json_int<int>(obj, "s"), JsonError);
   EXPECT_THROW(json_int<int>(obj, "missing"), JsonError);
-  // 2^63 fits an unsigned 64-bit value but not a signed one; 2^64 neither.
+  // Each type's range is [min, 2^digits): the minimum is in, the power of
+  // two just past the maximum is out.
+  EXPECT_EQ(json_int<int>(obj, "min"), std::numeric_limits<int>::min());
+  EXPECT_THROW(json_int<int>(obj, "two31"), JsonError);
   EXPECT_EQ(json_int<std::uint64_t>(obj, "two63"), std::uint64_t{1} << 63);
-  EXPECT_THROW(json_int<std::int64_t>(obj, "two63"), JsonError);
   EXPECT_THROW(json_int<std::uint64_t>(obj, "two64"), JsonError);
 
   const std::vector<JsonValue>& items = json_array(obj, "a");
@@ -593,7 +594,7 @@ TEST(MiniJson, IntAcceptsOnlyFiniteIntegralNumbersInRange) {
                          -std::numeric_limits<double>::infinity(),
                          std::numeric_limits<double>::quiet_NaN()}) {
     odd.number = v;
-    EXPECT_THROW(json_int<std::int64_t>(odd, "odd"), JsonError) << v;
+    EXPECT_THROW(json_int<int>(odd, "odd"), JsonError) << v;
   }
 }
 

@@ -467,6 +467,9 @@ TEST_F(ExhaustStoreTest, MergeRejectsMalformedNumbers) {
            with(R"("code_bits": 13)", R"("code_bits": 13.5)"),
            with(R"("shard_count": 1)", R"("shard_count": 1e30)"),
            with(R"("weights": [1, 2])", R"("weights": [1, 2.5])"),
+           // well-formed numbers the spec cannot hold
+           with(R"("chunk": "4096")", R"("chunk": "0")"),
+           with(R"("weights": [1, 2])", R"("weights": [1, 99])"),
        }) {
     EXPECT_THROW(merge_exhaust_files({write("bad_header.jsonl", head, good)}),
                  std::invalid_argument)
