@@ -209,7 +209,8 @@ ModelParams make_params(std::vector<std::pair<std::string, double>> values);
 class TermScanner {
  public:
   /// `kind` names the expression in errors ("fault", "codec"); `head`
-  /// names what a term starts with ("model", "codec").
+  /// names what a term starts with ("model", "codec"). `expr` must
+  /// outlive the scanner.
   TermScanner(const std::string& expr, const char* kind, const char* head)
       : expr_(expr), kind_(kind), head_(head) {}
 
