@@ -402,6 +402,87 @@ TEST_F(ExhaustStoreTest, ShardedMergeMatchesSingleProcessByteForByte) {
   EXPECT_EQ(alone.to_table().to_csv(), single.to_table().to_csv());
 }
 
+TEST_F(ExhaustStoreTest, WriterBytesMatchPinnedLines) {
+  // The exhaust-store format is pinned byte for byte, like the run file's:
+  // a resume reads what an earlier build wrote.
+  ExhaustHeader header;
+  header.codec = "hamming(d=8)";
+  header.fingerprint = "fedcba9876543210";
+  header.library_version = "flim-test";
+  header.data_seed = 18446744073709551615u;  // 2^64 - 1
+  header.burst = true;
+  header.chunk = 64;
+  header.weights = {1, 2};
+  header.code_bits = 13;
+  header.total_chunks = 4;
+  header.total_placements = 200;
+  header.shard_index = 1;
+  header.shard_count = 2;
+
+  ChunkCounts first;
+  first.chunk_index = 1;
+  first.counts = {{1, 13, 13, 0, 0}};
+  ChunkCounts second;
+  second.chunk_index = 3;
+  second.counts = {{1, 5, 5, 0, 0}, {2, 59, 0, 58, 1}};
+
+  {
+    ExhaustStoreWriter writer(path("pinned.jsonl"), header);
+    writer.append(first);
+    writer.append(second);
+  }
+  const std::string expected =
+      R"j({"flim_exhaust_format": 1, "codec": "hamming(d=8)", )j"
+      R"("fingerprint": "fedcba9876543210", "library_version": "flim-test", )"
+      R"("data_seed": "18446744073709551615", "mode": "burst", )"
+      R"("chunk": "64", "weights": [1, 2], "code_bits": 13, )"
+      R"("total_chunks": "4", "total_placements": "200", )"
+      R"("shard_index": 1, "shard_count": 2})"
+      "\n"
+      R"({"chunk": "1", "counts": [1, 13, 13, 0, 0]})"
+      "\n"
+      R"({"chunk": "3", "counts": [1, 5, 5, 0, 0, 2, 59, 0, 58, 1]})"
+      "\n";
+  std::ifstream in(path("pinned.jsonl"), std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(bytes, expected);
+
+  const ExhaustFile file = ExhaustFile::load(path("pinned.jsonl"));
+  EXPECT_EQ(file.header.format, kExhaustFormatVersion);
+  EXPECT_EQ(file.header.codec, header.codec);
+  EXPECT_EQ(file.header.fingerprint, header.fingerprint);
+  EXPECT_EQ(file.header.library_version, header.library_version);
+  EXPECT_EQ(file.header.data_seed, header.data_seed);
+  EXPECT_EQ(file.header.burst, header.burst);
+  EXPECT_EQ(file.header.chunk, header.chunk);
+  EXPECT_EQ(file.header.weights, header.weights);
+  EXPECT_EQ(file.header.code_bits, header.code_bits);
+  EXPECT_EQ(file.header.total_chunks, header.total_chunks);
+  EXPECT_EQ(file.header.total_placements, header.total_placements);
+  EXPECT_EQ(file.header.shard_index, header.shard_index);
+  EXPECT_EQ(file.header.shard_count, header.shard_count);
+  ASSERT_EQ(file.chunks.size(), 2u);
+  const ChunkCounts* written[] = {&first, &second};
+  for (std::size_t i = 0; i < 2; ++i) {
+    const ChunkCounts& loaded = file.chunks[i];
+    const ChunkCounts& expect = *written[i];
+    EXPECT_EQ(loaded.chunk_index, expect.chunk_index);
+    ASSERT_EQ(loaded.counts.size(), expect.counts.size());
+    for (std::size_t w = 0; w < expect.counts.size(); ++w) {
+      EXPECT_EQ(loaded.counts[w].weight, expect.counts[w].weight);
+      EXPECT_EQ(loaded.counts[w].placements, expect.counts[w].placements);
+      EXPECT_EQ(loaded.counts[w].corrected, expect.counts[w].corrected);
+      EXPECT_EQ(loaded.counts[w].detected, expect.counts[w].detected);
+      EXPECT_EQ(loaded.counts[w].aliased, expect.counts[w].aliased);
+    }
+  }
+  EXPECT_EQ(file.valid_prefix_bytes, expected.size());
+  EXPECT_FALSE(file.truncated_tail);
+  EXPECT_EQ(file.owned_chunks(), 2u);
+  EXPECT_TRUE(file.complete());
+}
+
 TEST_F(ExhaustStoreTest, MergeRejectsIncompleteShardSets) {
   const ExhaustSpec spec = small_spec();
   run_exhaust(spec, path("shard0.jsonl"), 0, 2, 1);

@@ -192,6 +192,94 @@ TEST(RunFile, HeaderRoundTripsThroughDisk) {
   std::filesystem::remove(path);
 }
 
+TEST(RunFile, WriterBytesMatchPinnedLines) {
+  // The run-file format is pinned byte for byte: resumed and merged runs
+  // compare files written by different builds, so a formatting drift must
+  // fail here, not only in a cmp of two files from one build.
+  RunHeader header;
+  header.name = "pinned \"run\"\\";
+  header.backend = "flim";
+  header.fingerprint = "0123456789abcdef";
+  header.library_version = "flim-test";
+  header.master_seed = 18446744073709551615u;  // 2^64 - 1
+  header.repetitions = 3;
+  header.total_points = 4;
+  header.shard_index = 1;
+  header.shard_count = 2;
+  header.clean_accuracy = 0.1;
+  header.axis_names = {"rate", "layer"};
+  header.axis_sizes = {2, 2};
+
+  ScenarioPoint first;
+  first.values = {0.1, 0.0};
+  first.labels = {"0.100", "say \"hi\"\\\t"};
+  first.metric = {0.75, 0.125, 0.5, 1.0, 3};
+  ScenarioPoint second;
+  second.values = {0.25, 1.0};
+  second.labels = {"0.250", "combined"};
+  second.metric = {1.0 / 3.0, 0.0, 0.25, 0.5, 3};
+
+  const std::string path = tmp_path("pinned.run.jsonl");
+  {
+    RunStoreWriter writer(path, header);
+    writer.append(1, first);
+    writer.append(3, second);
+  }
+  const std::string expected =
+      R"({"flim_run_format": 1, "name": "pinned \"run\"\\", )"
+      R"("backend": "flim", "fingerprint": "0123456789abcdef", )"
+      R"("library_version": "flim-test", )"
+      R"("master_seed": "18446744073709551615", "repetitions": 3, )"
+      R"("total_points": 4, "shard_index": 1, "shard_count": 2, )"
+      R"("clean_accuracy": 0.10000000000000001, )"
+      R"("axis_names": ["rate", "layer"], "axis_sizes": [2, 2]})"
+      "\n"
+      R"({"point": 1, "values": [0.10000000000000001, 0], )"
+      R"("labels": ["0.100", "say \"hi\"\\\t"], "mean": 0.75, )"
+      R"("stddev": 0.125, "min": 0.5, "max": 1, "count": 3})"
+      "\n"
+      R"({"point": 3, "values": [0.25, 1], "labels": ["0.250", "combined"], )"
+      R"("mean": 0.33333333333333331, "stddev": 0, "min": 0.25, )"
+      R"("max": 0.5, "count": 3})"
+      "\n";
+  EXPECT_EQ(read_file(path), expected);
+
+  const RunFile run = RunFile::load(path);
+  EXPECT_EQ(run.header.format, kRunFormatVersion);
+  EXPECT_EQ(run.header.name, header.name);
+  EXPECT_EQ(run.header.backend, header.backend);
+  EXPECT_EQ(run.header.fingerprint, header.fingerprint);
+  EXPECT_EQ(run.header.library_version, header.library_version);
+  EXPECT_EQ(run.header.master_seed, header.master_seed);
+  EXPECT_EQ(run.header.repetitions, header.repetitions);
+  EXPECT_EQ(run.header.total_points, header.total_points);
+  EXPECT_EQ(run.header.shard_index, header.shard_index);
+  EXPECT_EQ(run.header.shard_count, header.shard_count);
+  EXPECT_EQ(run.header.clean_accuracy, header.clean_accuracy);
+  EXPECT_EQ(run.header.axis_names, header.axis_names);
+  EXPECT_EQ(run.header.axis_sizes, header.axis_sizes);
+  ASSERT_EQ(run.points.size(), 2u);
+  const ScenarioPoint* written[] = {&first, &second};
+  const std::size_t flats[] = {1, 3};
+  for (std::size_t i = 0; i < 2; ++i) {
+    const StoredPoint& stored = run.points[i];
+    const ScenarioPoint& expect = *written[i];
+    EXPECT_EQ(stored.flat_index, flats[i]);
+    EXPECT_EQ(stored.point.values, expect.values);
+    EXPECT_EQ(stored.point.labels, expect.labels);
+    EXPECT_EQ(stored.point.metric.mean, expect.metric.mean);
+    EXPECT_EQ(stored.point.metric.stddev, expect.metric.stddev);
+    EXPECT_EQ(stored.point.metric.min, expect.metric.min);
+    EXPECT_EQ(stored.point.metric.max, expect.metric.max);
+    EXPECT_EQ(stored.point.metric.count, expect.metric.count);
+  }
+  EXPECT_EQ(run.valid_prefix_bytes, expected.size());
+  EXPECT_FALSE(run.truncated_tail);
+  EXPECT_EQ(run.owned_points(), 2u);
+  EXPECT_TRUE(run.complete());
+  std::filesystem::remove(path);
+}
+
 TEST(RunFile, PointsRoundTripBitExactly) {
   const Reference& ref = reference_run();
   const RunFile run = RunFile::load(ref.path);
