@@ -114,6 +114,10 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+std::string json_quote(const std::string& s) {
+  return '"' + json_escape(s) + '"';
+}
+
 namespace {
 
 void write_text_file(const std::string& path, const std::string& text,

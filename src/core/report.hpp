@@ -83,6 +83,9 @@ std::string format_double_shortest(double v);
 /// quotes are not added).
 std::string json_escape(const std::string& s);
 
+/// json_escape(s) inside double quotes: a complete JSON string literal.
+std::string json_quote(const std::string& s);
+
 /// Prints a banner line ("== title ==") followed by the table.
 void print_table(std::ostream& os, const std::string& title, const Table& t);
 

@@ -1,14 +1,12 @@
 #include "exp/scenario.hpp"
 
-#include <filesystem>
-#include <fstream>
 #include <map>
 #include <optional>
-#include <string_view>
 
 #include "bnn/flim_engine.hpp"
 #include "bnn/plan.hpp"
 #include "core/check.hpp"
+#include "core/journal.hpp"
 #include "core/rng.hpp"
 #include "core/thread_pool.hpp"
 #include "exp/eval_point.hpp"
@@ -385,45 +383,20 @@ ScenarioResult ScenarioRunner::run(
     const Workload& workload, const StoreOptions& store,
     const std::function<void(const ScenarioPoint&)>& on_point) {
   check_layer_filters(spec_, workload);
-  FLIM_REQUIRE(store.shard_count >= 1 && store.shard_index >= 0 &&
-                   store.shard_index < store.shard_count,
-               "shard index must be in [0, shard_count)");
+  core::check_shard(store.shard_index, store.shard_count);
 
   std::size_t total_points = 1;
   for (const ScenarioAxis& axis : spec_.axes) {
     total_points *= axis.values.size();
   }
 
-  // Restore completed points from the resume file, if one exists. A missing
-  // file -- or the residue of a crash between creating the file and durably
-  // writing its header (empty, or an unambiguous torn prefix of a run-file
-  // header with no newline yet) -- is a fresh start. Anything else must
-  // parse as a matching header: a mistyped path naming some other file
-  // should fail loudly, never be silently truncated.
-  const auto has_complete_first_line = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    std::string line;
-    return static_cast<bool>(std::getline(in, line)) && !in.eof();
-  };
-  const auto is_torn_header_residue = [](const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    const std::string content((std::istreambuf_iterator<char>(in)),
-                              std::istreambuf_iterator<char>());
-    static constexpr std::string_view prefix = "{\"flim_run_format\"";
-    const std::size_t n = std::min(content.size(), prefix.size());
-    return content.compare(0, n, prefix, 0, n) == 0;  // empty counts
-  };
+  // Restore completed points from the resume file, if the journal's
+  // fresh-start rule says there is one to load.
   std::map<std::size_t, ScenarioPoint> restored;
   bool resume_in_place = false;
   std::size_t resume_prefix_bytes = 0;
-  const bool resume_file_exists =
-      !store.resume_from.empty() && std::filesystem::exists(store.resume_from);
-  if (resume_file_exists && !has_complete_first_line(store.resume_from)) {
-    FLIM_REQUIRE(is_torn_header_residue(store.resume_from),
-                 "refusing to overwrite " + store.resume_from +
-                     ": it is not a run file (nor the torn header of one)");
-  }
-  if (resume_file_exists && has_complete_first_line(store.resume_from)) {
+  if (!store.resume_from.empty() &&
+      core::journal_to_resume(store.resume_from, kRunHeaderTag, "run file")) {
     const RunFile prior = RunFile::load(store.resume_from);
     const std::string fingerprint = spec_fingerprint(spec_);
     FLIM_REQUIRE(prior.header.fingerprint == fingerprint,
@@ -441,7 +414,8 @@ ScenarioResult ScenarioRunner::run(
                      ", not this run's shard");
     for (const StoredPoint& sp : prior.points) {
       FLIM_REQUIRE(
-          shard_owns(sp.flat_index, store.shard_index, store.shard_count),
+          core::shard_owns(sp.flat_index, store.shard_index,
+                           store.shard_count),
           "resume file holds a point outside this shard's slice");
       restored.emplace(sp.flat_index, sp.point);
     }
@@ -532,7 +506,7 @@ ScenarioResult ScenarioRunner::run(
   // seed, so the skipped cells would have produced exactly the restored
   // summaries (run_grid_sweep_selected's contract).
   const auto selector = [&](std::size_t flat) {
-    return shard_owns(flat, store.shard_index, store.shard_count) &&
+    return core::shard_owns(flat, store.shard_index, store.shard_count) &&
            restored.find(flat) == restored.end();
   };
   const std::vector<core::SelectedGridPoint> cells =
@@ -553,7 +527,9 @@ ScenarioResult ScenarioRunner::run(
   // Fold restored and freshly evaluated points into ascending flat order.
   auto cell_it = cells.begin();
   for (std::size_t flat = 0; flat < total_points; ++flat) {
-    if (!shard_owns(flat, store.shard_index, store.shard_count)) continue;
+    if (!core::shard_owns(flat, store.shard_index, store.shard_count)) {
+      continue;
+    }
     const auto done = restored.find(flat);
     if (done != restored.end()) {
       result.points.push_back(done->second);

@@ -1,8 +1,6 @@
 #include "exp/store.hpp"
 
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
@@ -14,10 +12,6 @@
 #include "fault/fault_registry.hpp"
 #include "lim/logic_family.hpp"
 #include "reliability/ecc/registry.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
 
 namespace flim::exp {
 
@@ -49,7 +43,7 @@ void put_d(std::ostringstream& os, const char* key, double v) {
 // ---------------------------------------------------------------------------
 // JSON for the flat run-file objects comes from core/minijson (numbers,
 // strings, and arrays of either). Parse failures throw core::JsonError,
-// which the loader maps to "corrupt tail" for point lines and to
+// which the journal scan maps to "corrupt tail" for point lines and to
 // std::invalid_argument for the header; semantic violations use
 // FLIM_REQUIRE directly.
 
@@ -57,22 +51,21 @@ using core::JsonError;
 using core::JsonValue;
 using core::json_array;
 using core::json_number;
+using core::json_quote;
 using core::json_string;
+
+constexpr const char* kKind = "run file";
 
 // ---------------------------------------------------------------------------
 // Line formatting.
 
-std::string quote(const std::string& s) {
-  return '"' + core::json_escape(s) + '"';
-}
-
 std::string header_line(const RunHeader& h) {
   std::ostringstream os;
-  os << "{\"flim_run_format\": " << h.format
-     << ", \"name\": " << quote(h.name)
-     << ", \"backend\": " << quote(h.backend)
-     << ", \"fingerprint\": " << quote(h.fingerprint)
-     << ", \"library_version\": " << quote(h.library_version)
+  os << kRunHeaderTag << ": " << h.format
+     << ", \"name\": " << json_quote(h.name)
+     << ", \"backend\": " << json_quote(h.backend)
+     << ", \"fingerprint\": " << json_quote(h.fingerprint)
+     << ", \"library_version\": " << json_quote(h.library_version)
      // As a string: JSON numbers decay to binary64 on parse, which cannot
      // hold every 64-bit seed exactly.
      << ", \"master_seed\": \"" << h.master_seed << '"'
@@ -85,7 +78,7 @@ std::string header_line(const RunHeader& h) {
      << ", \"axis_names\": [";
   for (std::size_t i = 0; i < h.axis_names.size(); ++i) {
     if (i) os << ", ";
-    os << quote(h.axis_names[i]);
+    os << json_quote(h.axis_names[i]);
   }
   os << "], \"axis_sizes\": [";
   for (std::size_t i = 0; i < h.axis_sizes.size(); ++i) {
@@ -106,7 +99,7 @@ std::string point_line(std::size_t flat_index, const ScenarioPoint& p) {
   os << "], \"labels\": [";
   for (std::size_t i = 0; i < p.labels.size(); ++i) {
     if (i) os << ", ";
-    os << quote(p.labels[i]);
+    os << json_quote(p.labels[i]);
   }
   os << "], \"mean\": " << core::format_double_roundtrip(p.metric.mean)
      << ", \"stddev\": " << core::format_double_roundtrip(p.metric.stddev)
@@ -168,13 +161,6 @@ StoredPoint parse_point(const std::string& line) {
   sp.point.metric.max = json_number(obj, "max");
   sp.point.metric.count = static_cast<std::size_t>(json_number(obj, "count"));
   return sp;
-}
-
-void sync_now(std::FILE* f) {
-  std::fflush(f);
-#if defined(__unix__) || defined(__APPLE__)
-  ::fsync(fileno(f));
-#endif
 }
 
 }  // namespace
@@ -276,9 +262,7 @@ std::string spec_fingerprint(const ScenarioSpec& spec) {
 
 RunHeader make_run_header(const ScenarioSpec& spec, double clean_accuracy,
                           int shard_index, int shard_count) {
-  FLIM_REQUIRE(shard_count >= 1 && shard_index >= 0 &&
-                   shard_index < shard_count,
-               "shard index must be in [0, shard_count)");
+  core::check_shard(shard_index, shard_count);
   RunHeader h;
   h.name = spec.name;
   h.backend = to_string(spec.engine.backend);
@@ -298,148 +282,56 @@ RunHeader make_run_header(const ScenarioSpec& spec, double clean_accuracy,
   return h;
 }
 
-bool shard_owns(std::size_t flat_index, int shard_index, int shard_count) {
-  FLIM_REQUIRE(shard_count >= 1 && shard_index >= 0 &&
-                   shard_index < shard_count,
-               "shard index must be in [0, shard_count)");
-  return flat_index % static_cast<std::size_t>(shard_count) ==
-         static_cast<std::size_t>(shard_index);
-}
-
 RunFile RunFile::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  FLIM_REQUIRE(in.good(), "cannot open run file: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string data = buf.str();
-
   RunFile run;
   std::set<std::size_t> seen;
-  bool have_header = false;
-  std::size_t pos = 0;
-  while (pos < data.size()) {
-    const std::size_t nl = data.find('\n', pos);
-    if (nl == std::string::npos) {
-      // No terminating newline: a torn final write. Everything before it is
-      // already accounted for; the fragment is dropped.
-      run.truncated_tail = true;
-      break;
-    }
-    const std::string line = data.substr(pos, nl - pos);
-    const std::size_t line_end = nl + 1;
-    if (!have_header) {
-      try {
+  const core::JournalScan scan = core::scan_journal(
+      path, kKind,
+      [&](const std::string& line) {
         run.header = parse_header(line);
-      } catch (const JsonError& e) {
-        FLIM_REQUIRE(false, "bad run-file header in " + path + ": " + e.what);
-      }
-      FLIM_REQUIRE(run.header.format == kRunFormatVersion,
-                   "unsupported run-file format version " +
-                       std::to_string(run.header.format) + " in " + path);
-      have_header = true;
-    } else {
-      StoredPoint sp;
-      try {
-        sp = parse_point(line);
-      } catch (const JsonError&) {
-        // Corrupt tail: accept the valid prefix, ignore the rest.
-        run.truncated_tail = true;
-        break;
-      }
-      FLIM_REQUIRE(sp.flat_index < run.header.total_points,
-                   "run file " + path + " has a point outside its grid");
-      FLIM_REQUIRE(sp.point.labels.size() == run.header.axis_names.size(),
-                   "run file " + path + " has a point of the wrong rank");
-      if (seen.insert(sp.flat_index).second) {
-        run.points.push_back(std::move(sp));
-      }
-    }
-    run.valid_prefix_bytes = line_end;
-    pos = line_end;
-  }
-  FLIM_REQUIRE(have_header, "run file has no header line: " + path);
+        FLIM_REQUIRE(run.header.format == kRunFormatVersion,
+                     "unsupported run file format version " +
+                         std::to_string(run.header.format) + " in " + path);
+      },
+      [&](const std::string& line) {
+        StoredPoint sp = parse_point(line);
+        FLIM_REQUIRE(sp.flat_index < run.header.total_points,
+                     "run file " + path + " has a point outside its grid");
+        FLIM_REQUIRE(sp.point.labels.size() == run.header.axis_names.size(),
+                     "run file " + path + " has a point of the wrong rank");
+        if (seen.insert(sp.flat_index).second) {
+          run.points.push_back(std::move(sp));
+        }
+      });
+  run.valid_prefix_bytes = scan.valid_prefix_bytes;
+  run.truncated_tail = scan.truncated_tail;
   return run;
 }
 
-bool RunFile::has(std::size_t flat_index) const {
-  for (const StoredPoint& sp : points) {
-    if (sp.flat_index == flat_index) return true;
-  }
-  return false;
-}
-
 std::size_t RunFile::owned_points() const {
-  std::size_t owned = 0;
-  for (std::size_t flat = 0; flat < header.total_points; ++flat) {
-    if (shard_owns(flat, header.shard_index, header.shard_count)) ++owned;
-  }
-  return owned;
+  return core::shard_owned_count(header.total_points, header.shard_index,
+                                 header.shard_count);
 }
 
 bool RunFile::complete() const { return points.size() == owned_points(); }
 
-void RunStoreWriter::FileCloser::operator()(std::FILE* f) const {
-  if (f != nullptr) std::fclose(f);
-}
-
-RunStoreWriter::RunStoreWriter()
-    : mutex_(std::make_unique<core::Mutex>()) {}
+RunStoreWriter::RunStoreWriter(core::JournalWriter journal)
+    : journal_(std::move(journal)) {}
 
 RunStoreWriter::RunStoreWriter(const std::string& path,
                                const RunHeader& header, bool fsync_each_point)
-    : path_(path), mutex_(std::make_unique<core::Mutex>()),
-      fsync_each_point_(fsync_each_point) {
-  const std::filesystem::path p(path);
-  if (p.has_parent_path()) {
-    std::filesystem::create_directories(p.parent_path());
-  }
-  file_.reset(std::fopen(path.c_str(), "wb"));
-  FLIM_REQUIRE(file_ != nullptr, "cannot create run file: " + path);
-  const core::MutexLock lock(*mutex_);
-  write_line(header_line(header));
-}
+    : journal_(path, kKind, header_line(header), fsync_each_point) {}
 
 RunStoreWriter RunStoreWriter::resume(const std::string& path,
                                       std::size_t valid_prefix_bytes,
                                       bool fsync_each_point) {
-  FLIM_REQUIRE(std::filesystem::exists(path),
-               "cannot resume missing run file: " + path);
-  // Drop any torn tail before appending: once truncated, the file is a
-  // clean prefix again and every future line lands on a line boundary.
-  std::error_code ec;
-  std::filesystem::resize_file(path, valid_prefix_bytes, ec);
-  FLIM_REQUIRE(!ec, "cannot truncate run-file tail: " + path);
-  RunStoreWriter w;
-  w.path_ = path;
-  w.fsync_each_point_ = fsync_each_point;
-  w.file_.reset(std::fopen(path.c_str(), "ab"));
-  FLIM_REQUIRE(w.file_ != nullptr, "cannot open run file for append: " + path);
-  return w;
+  return RunStoreWriter(core::JournalWriter::resume(
+      path, kKind, valid_prefix_bytes, fsync_each_point));
 }
 
 void RunStoreWriter::append(std::size_t flat_index,
                             const ScenarioPoint& point) {
-  // Serialize the whole line under the lock: concurrent appends land as
-  // complete, newline-terminated progress markers in some order, never
-  // interleaved byte-wise.
-  const std::string line = point_line(flat_index, point);
-  FLIM_REQUIRE(mutex_ != nullptr, "run-file writer was moved from");
-  const core::MutexLock lock(*mutex_);
-  write_line(line);
-}
-
-void RunStoreWriter::write_line(const std::string& line) {
-  FLIM_REQUIRE(file_ != nullptr, "run-file writer is closed");
-  const std::string with_newline = line + "\n";
-  const std::size_t written = std::fwrite(with_newline.data(), 1,
-                                          with_newline.size(), file_.get());
-  FLIM_REQUIRE(written == with_newline.size(),
-               "short write to run file: " + path_);
-  if (fsync_each_point_) {
-    sync_now(file_.get());
-  } else {
-    std::fflush(file_.get());
-  }
+  journal_.append(point_line(flat_index, point));
 }
 
 ScenarioResult merge_run_files(const std::vector<std::string>& paths) {

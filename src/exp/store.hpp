@@ -2,20 +2,15 @@
 //
 // The paper's figures come from fault-injection sweeps with thousands of
 // (rate x layer x repetition) grid points; at paper scale a campaign runs
-// for hours, and ScenarioRunner used to hold every summary in memory until
-// the final CSV, so an interrupted run lost everything. A *run file* fixes
-// that: one JSONL file per campaign (or per shard) whose first line is a
-// header recording the full spec fingerprint, seed, and code version, and
-// whose every subsequent line is one completed grid-point summary, appended
-// and fsync'd the moment the point finishes. A complete, newline-terminated
-// line is the durable progress marker -- the loader accepts exactly the
-// prefix of lines that parse and ignores a torn tail, so a campaign killed
-// mid-write resumes from the last marker and (because per-point repetition
-// seeds depend only on the master seed) finishes bit-identically to an
-// uninterrupted run. Shard files produced by `--shard i/N` partitions of
-// the same spec carry identical headers and disjoint point sets;
-// merge_run_files folds them back into one complete ScenarioResult whose
-// CSV matches a single-process run byte for byte.
+// for hours. A *run file* keeps its progress: a core/journal whose header
+// line records the spec fingerprint, seed, code version and shard, and
+// whose every later line is one completed grid-point summary. A campaign
+// killed mid-write resumes from the last complete line and (because
+// per-point repetition seeds depend only on the master seed) finishes
+// bit-identically to an uninterrupted run. Shard files of one spec carry
+// identical headers and disjoint point sets; merge_run_files folds them
+// into one ScenarioResult whose CSV matches a single-process run byte for
+// byte.
 //
 // Summaries are persisted with 17-significant-digit doubles
 // (core::format_double_roundtrip), which decimal round-trips IEEE-754
@@ -28,19 +23,21 @@
 /// tolerant loading, and shard-file merging. See docs/campaigns.md.
 
 #include <cstdint>
-#include <cstdio>
-#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "core/annotations.hpp"
-#include "core/sync.hpp"
+#include "core/journal.hpp"
 #include "exp/scenario.hpp"
 
 namespace flim::exp {
 
 /// Revision of the run-file layout; bumped on incompatible changes.
 inline constexpr int kRunFormatVersion = 1;
+
+/// How every run-file header line begins; a newline-less prefix of it is
+/// the residue of a kill before the header was durable (a fresh start).
+inline constexpr std::string_view kRunHeaderTag = "{\"flim_run_format\"";
 
 /// First line of a run file: everything needed to validate that a resume or
 /// merge is looking at results of the same experiment.
@@ -95,10 +92,6 @@ std::string spec_fingerprint(const ScenarioSpec& spec);
 RunHeader make_run_header(const ScenarioSpec& spec, double clean_accuracy,
                           int shard_index = 0, int shard_count = 1);
 
-/// True when `flat_index` belongs to shard `shard_index` of `shard_count`
-/// under the deterministic interleaved partition (flat % count == index).
-bool shard_owns(std::size_t flat_index, int shard_index, int shard_count);
-
 /// One persisted grid point.
 struct StoredPoint {
   /// Row-major flat index of the cell within the full grid.
@@ -125,9 +118,6 @@ struct RunFile {
   /// scan gracefully instead.
   static RunFile load(const std::string& path);
 
-  /// True when the file holds a point for flat grid index `flat_index`.
-  bool has(std::size_t flat_index) const;
-
   /// Number of grid cells this file's shard owns under the deterministic
   /// interleaved partition (the denominator of its progress fraction).
   std::size_t owned_points() const;
@@ -139,13 +129,13 @@ struct RunFile {
 
 /// Append-only run-file writer. Every append() writes one complete JSONL
 /// line and (by default) fsyncs, making the line a durable progress marker.
-/// append() is thread-safe: the stream is mutex-guarded, so concurrent
-/// producers (e.g. a future campaign coordinator folding worker results)
-/// serialize on whole lines and can never interleave partial writes.
+/// append() is thread-safe: the core::JournalWriter underneath serializes
+/// whole lines, so concurrent producers can never interleave partial writes.
 class RunStoreWriter {
  public:
-  /// Creates (or truncates) `path`, writes the header line, and syncs it.
-  /// Parent directories are created as needed.
+  /// Creates (or truncates) `path`, writes the header line, and syncs it
+  /// (flushes it when `fsync_each_point` is off). Parent directories are
+  /// created as needed.
   RunStoreWriter(const std::string& path, const RunHeader& header,
                  bool fsync_each_point = true);
 
@@ -160,23 +150,12 @@ class RunStoreWriter {
   void append(std::size_t flat_index, const ScenarioPoint& point);
 
   /// The run file being written.
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return journal_.path(); }
 
  private:
-  RunStoreWriter();
+  explicit RunStoreWriter(core::JournalWriter journal);
 
-  struct FileCloser {
-    void operator()(std::FILE* f) const;
-  };
-
-  void write_line(const std::string& line) FLIM_REQUIRES(*mutex_);
-
-  std::string path_;
-  /// Heap-allocated (never null) so the writer stays movable; a moved-from
-  /// writer is only good for destruction.
-  std::unique_ptr<core::Mutex> mutex_;
-  std::unique_ptr<std::FILE, FileCloser> file_ FLIM_PT_GUARDED_BY(*mutex_);
-  bool fsync_each_point_ = true;
+  core::JournalWriter journal_;
 };
 
 /// Loads `paths` (shard files of one campaign, or a single complete run

@@ -1,7 +1,7 @@
 // Shard lease table: who owns which slice of the grid, until when.
 //
 // The coordinator partitions a campaign into shard_count interleaved shards
-// (exp::shard_owns) and leases each to at most one worker at a time. A
+// (core::shard_owns) and leases each to at most one worker at a time. A
 // lease is (shard, worker, fencing token, deadline): heartbeats refresh the
 // deadline, silence past the TTL makes the shard grantable again, and the
 // monotonically increasing token fences zombies -- a worker that went

@@ -6,13 +6,7 @@
 
 namespace flim::fleet {
 
-namespace {
-
-std::string quote(const std::string& s) {
-  return '"' + core::json_escape(s) + '"';
-}
-
-}  // namespace
+using core::json_quote;
 
 Message parse_message(const std::string& line) {
   Message msg;
@@ -25,13 +19,14 @@ std::string encode_hello(const std::string& worker,
                          const std::string& fingerprint) {
   std::ostringstream os;
   os << "{\"type\": \"hello\", \"protocol\": " << kProtocolVersion
-     << ", \"worker\": " << quote(worker)
-     << ", \"fingerprint\": " << quote(fingerprint) << "}";
+     << ", \"worker\": " << json_quote(worker)
+     << ", \"fingerprint\": " << json_quote(fingerprint) << "}";
   return os.str();
 }
 
 std::string encode_lease_request(const std::string& worker) {
-  return "{\"type\": \"lease_request\", \"worker\": " + quote(worker) + "}";
+  return "{\"type\": \"lease_request\", \"worker\": " + json_quote(worker) +
+         "}";
 }
 
 std::string encode_heartbeat(int shard_index, std::uint64_t token,
@@ -47,7 +42,7 @@ std::string encode_upload(int shard_index, std::uint64_t token,
                           const std::string& file_bytes) {
   std::ostringstream os;
   os << "{\"type\": \"upload\", \"shard_index\": " << shard_index
-     << ", \"token\": " << token << ", \"bytes\": " << quote(file_bytes)
+     << ", \"token\": " << token << ", \"bytes\": " << json_quote(file_bytes)
      << "}";
   return os.str();
 }
@@ -84,18 +79,18 @@ std::string encode_upload_ok() { return "{\"type\": \"upload_ok\"}"; }
 std::string encode_lease_lost() { return "{\"type\": \"lease_lost\"}"; }
 
 std::string encode_error(const std::string& what) {
-  return "{\"type\": \"error\", \"what\": " + quote(what) + "}";
+  return "{\"type\": \"error\", \"what\": " + json_quote(what) + "}";
 }
 
 std::string encode_eval_request(const EvalRequest& req) {
   std::ostringstream os;
   os << "{\"type\": \"eval_request\", \"protocol\": " << kProtocolVersion
-     << ", \"model\": " << quote(req.model)
-     << ", \"backend\": " << quote(req.backend)
+     << ", \"model\": " << json_quote(req.model)
+     << ", \"backend\": " << json_quote(req.backend)
      << ", \"tmr_replicas\": " << req.tmr_replicas
-     << ", \"fault\": " << quote(req.fault_expr)
-     << ", \"granularity\": " << quote(req.granularity)
-     << ", \"grid\": " << quote(req.grid)
+     << ", \"fault\": " << json_quote(req.fault_expr)
+     << ", \"granularity\": " << json_quote(req.granularity)
+     << ", \"grid\": " << json_quote(req.grid)
      << ", \"reps\": " << req.repetitions << ", \"seed\": " << req.master_seed
      << ", \"deadline_ms\": " << req.deadline_ms << "}";
   return os.str();
@@ -119,7 +114,8 @@ EvalRequest decode_eval_request(const Message& msg) {
 }
 
 std::string encode_eval_result(const std::string& payload) {
-  return "{\"type\": \"eval_result\", \"payload\": " + quote(payload) + "}";
+  return "{\"type\": \"eval_result\", \"payload\": " + json_quote(payload) +
+         "}";
 }
 
 std::string decode_eval_result(const Message& msg) {

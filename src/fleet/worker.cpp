@@ -7,6 +7,7 @@
 
 #include "core/check.hpp"
 #include "core/clock.hpp"
+#include "core/journal.hpp"
 #include "core/log.hpp"
 #include "core/minijson.hpp"
 #include "exp/store.hpp"
@@ -147,10 +148,8 @@ WorkerReport run_worker(const exp::ScenarioSpec& spec,
     store.fsync_each_point = options.fsync_each_point;
 
     std::size_t completed = restored_points(path);
-    std::size_t owned = 0;
-    for (std::size_t flat = 0; flat < total_points; ++flat) {
-      if (exp::shard_owns(flat, shard, shard_count)) ++owned;
-    }
+    const std::size_t owned =
+        core::shard_owned_count(total_points, shard, shard_count);
     FLIM_LOG_INFO << "fleet: " << options.name << " running shard " << shard
                   << "/" << shard_count << " (" << completed << "/" << owned
                   << " restored)";

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "core/check.hpp"
+#include "core/journal.hpp"
 #include "core/rng.hpp"
 #include "core/sysinfo.hpp"
 #include "core/thread_pool.hpp"
@@ -241,9 +242,7 @@ core::Table ExhaustResult::to_table() const {
 ExhaustResult run_exhaust(const ExhaustSpec& raw_spec,
                           const std::string& store_path, int shard_index,
                           int shard_count, int jobs) {
-  FLIM_REQUIRE(shard_count >= 1 && shard_index >= 0 &&
-                   shard_index < shard_count,
-               "exhaust: shard index must be in [0, shard_count)");
+  core::check_shard(shard_index, shard_count);
   const ExhaustSpec spec = normalize_exhaust_spec(raw_spec);
   const ExhaustPlan plan = plan_exhaust(spec);
   FLIM_REQUIRE(!store_path.empty() || shard_count == 1,
@@ -288,7 +287,7 @@ ExhaustResult run_exhaust(const ExhaustSpec& raw_spec,
   }
   std::vector<std::uint64_t> pending;
   for (std::uint64_t c = 0; c < plan.total_chunks; ++c) {
-    if (exhaust_shard_owns(c, shard_index, shard_count) &&
+    if (core::shard_owns(c, shard_index, shard_count) &&
         have[static_cast<std::size_t>(c)] == 0) {
       pending.push_back(c);
     }

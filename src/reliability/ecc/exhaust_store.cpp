@@ -1,7 +1,5 @@
 #include "reliability/ecc/exhaust_store.hpp"
 
-#include <filesystem>
-#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
@@ -11,10 +9,6 @@
 #include "core/report.hpp"
 #include "core/sysinfo.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
-
 namespace flim::reliability::ecc {
 
 namespace {
@@ -23,23 +17,22 @@ using core::JsonError;
 using core::JsonValue;
 using core::json_array;
 using core::json_int;
+using core::json_quote;
 using core::json_string;
 using core::json_u64_string;
 
-std::string quote(const std::string& s) {
-  return '"' + core::json_escape(s) + '"';
-}
+constexpr const char* kKind = "exhaust store";
 
 std::string header_line(const ExhaustHeader& h) {
   std::ostringstream os;
-  os << "{\"flim_exhaust_format\": " << h.format
-     << ", \"codec\": " << quote(h.codec)
-     << ", \"fingerprint\": " << quote(h.fingerprint)
-     << ", \"library_version\": " << quote(h.library_version)
+  os << kExhaustHeaderTag << ": " << h.format
+     << ", \"codec\": " << json_quote(h.codec)
+     << ", \"fingerprint\": " << json_quote(h.fingerprint)
+     << ", \"library_version\": " << json_quote(h.library_version)
      // 64-bit values go as strings: JSON numbers decay to binary64 on
      // parse, which cannot hold every value exactly.
      << ", \"data_seed\": \"" << h.data_seed << '"'
-     << ", \"mode\": " << quote(h.burst ? "burst" : "combination")
+     << ", \"mode\": " << json_quote(h.burst ? "burst" : "combination")
      << ", \"chunk\": \"" << h.chunk << '"' << ", \"weights\": [";
   for (std::size_t i = 0; i < h.weights.size(); ++i) {
     if (i) os << ", ";
@@ -117,21 +110,12 @@ ChunkCounts parse_chunk(const std::string& line) {
   return c;
 }
 
-void sync_now(std::FILE* f) {
-  std::fflush(f);
-#if defined(__unix__) || defined(__APPLE__)
-  ::fsync(fileno(f));
-#endif
-}
-
 }  // namespace
 
 ExhaustHeader make_exhaust_header(const ExhaustSpec& spec,
                                   const ExhaustPlan& plan, int shard_index,
                                   int shard_count) {
-  FLIM_REQUIRE(shard_count >= 1 && shard_index >= 0 &&
-                   shard_index < shard_count,
-               "shard index must be in [0, shard_count)");
+  core::check_shard(shard_index, shard_count);
   ExhaustHeader h;
   h.codec = spec.codec_expr;
   h.fingerprint = exhaust_fingerprint(spec);
@@ -148,135 +132,53 @@ ExhaustHeader make_exhaust_header(const ExhaustSpec& spec,
   return h;
 }
 
-bool exhaust_shard_owns(std::uint64_t chunk_index, int shard_index,
-                        int shard_count) {
-  FLIM_REQUIRE(shard_count >= 1 && shard_index >= 0 &&
-                   shard_index < shard_count,
-               "shard index must be in [0, shard_count)");
-  return chunk_index % static_cast<std::uint64_t>(shard_count) ==
-         static_cast<std::uint64_t>(shard_index);
-}
-
 ExhaustFile ExhaustFile::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  FLIM_REQUIRE(in.good(), "cannot open exhaust store: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string data = buf.str();
-
   ExhaustFile file;
   std::set<std::uint64_t> seen;
-  bool have_header = false;
-  std::size_t pos = 0;
-  while (pos < data.size()) {
-    const std::size_t nl = data.find('\n', pos);
-    if (nl == std::string::npos) {
-      // No terminating newline: a torn final write; the fragment is
-      // dropped and the valid prefix stands.
-      file.truncated_tail = true;
-      break;
-    }
-    const std::string line = data.substr(pos, nl - pos);
-    const std::size_t line_end = nl + 1;
-    if (!have_header) {
-      try {
+  const core::JournalScan scan = core::scan_journal(
+      path, kKind,
+      [&](const std::string& line) {
         file.header = parse_header(line);
-      } catch (const JsonError& e) {
-        FLIM_REQUIRE(false,
-                     "bad exhaust-store header in " + path + ": " + e.what);
-      }
-      FLIM_REQUIRE(file.header.format == kExhaustFormatVersion,
-                   "unsupported exhaust-store format version " +
-                       std::to_string(file.header.format) + " in " + path);
-      have_header = true;
-    } else {
-      ChunkCounts c;
-      try {
-        c = parse_chunk(line);
-      } catch (const JsonError&) {
-        // Corrupt tail: accept the valid prefix, ignore the rest.
-        file.truncated_tail = true;
-        break;
-      }
-      FLIM_REQUIRE(c.chunk_index < file.header.total_chunks,
-                   "exhaust store " + path + " has an out-of-range chunk");
-      if (seen.insert(c.chunk_index).second) {
-        file.chunks.push_back(std::move(c));
-      }
-    }
-    file.valid_prefix_bytes = line_end;
-    pos = line_end;
-  }
-  FLIM_REQUIRE(have_header, "exhaust store has no header line: " + path);
+        FLIM_REQUIRE(file.header.format == kExhaustFormatVersion,
+                     "unsupported exhaust store format version " +
+                         std::to_string(file.header.format) + " in " + path);
+      },
+      [&](const std::string& line) {
+        ChunkCounts c = parse_chunk(line);
+        FLIM_REQUIRE(c.chunk_index < file.header.total_chunks,
+                     "exhaust store " + path + " has an out-of-range chunk");
+        if (seen.insert(c.chunk_index).second) {
+          file.chunks.push_back(std::move(c));
+        }
+      });
+  file.valid_prefix_bytes = scan.valid_prefix_bytes;
+  file.truncated_tail = scan.truncated_tail;
   return file;
 }
 
 std::uint64_t ExhaustFile::owned_chunks() const {
-  std::uint64_t owned = 0;
-  for (std::uint64_t c = 0; c < header.total_chunks; ++c) {
-    if (exhaust_shard_owns(c, header.shard_index, header.shard_count)) {
-      ++owned;
-    }
-  }
-  return owned;
+  return core::shard_owned_count(header.total_chunks, header.shard_index,
+                                 header.shard_count);
 }
 
-bool ExhaustFile::complete() const {
-  return static_cast<std::uint64_t>(chunks.size()) == owned_chunks();
-}
+bool ExhaustFile::complete() const { return chunks.size() == owned_chunks(); }
 
-void ExhaustStoreWriter::FileCloser::operator()(std::FILE* f) const {
-  if (f != nullptr) std::fclose(f);
-}
+ExhaustStoreWriter::ExhaustStoreWriter(core::JournalWriter journal)
+    : journal_(std::move(journal)) {}
 
-ExhaustStoreWriter::ExhaustStoreWriter()
-    : mutex_(std::make_unique<core::Mutex>()) {}
-
+// Exhaust stores always fsync: a chunk is worth far more than the sync.
 ExhaustStoreWriter::ExhaustStoreWriter(const std::string& path,
                                        const ExhaustHeader& header)
-    : path_(path), mutex_(std::make_unique<core::Mutex>()) {
-  const std::filesystem::path p(path);
-  if (p.has_parent_path()) {
-    std::filesystem::create_directories(p.parent_path());
-  }
-  file_.reset(std::fopen(path.c_str(), "wb"));
-  FLIM_REQUIRE(file_ != nullptr, "cannot create exhaust store: " + path);
-  const core::MutexLock lock(*mutex_);
-  const std::string line = header_line(header) + "\n";
-  const std::size_t written =
-      std::fwrite(line.data(), 1, line.size(), file_.get());
-  FLIM_REQUIRE(written == line.size(), "short write to exhaust store: " + path);
-  sync_now(file_.get());
-}
+    : journal_(path, kKind, header_line(header), /*fsync_each_line=*/true) {}
 
 ExhaustStoreWriter ExhaustStoreWriter::resume(const std::string& path,
                                               std::size_t valid_prefix_bytes) {
-  FLIM_REQUIRE(std::filesystem::exists(path),
-               "cannot resume missing exhaust store: " + path);
-  // Drop any torn tail before appending, exactly like the run store: once
-  // truncated the file is a clean prefix and future lines land on line
-  // boundaries.
-  std::error_code ec;
-  std::filesystem::resize_file(path, valid_prefix_bytes, ec);
-  FLIM_REQUIRE(!ec, "cannot truncate exhaust-store tail: " + path);
-  ExhaustStoreWriter w;
-  w.path_ = path;
-  w.file_.reset(std::fopen(path.c_str(), "ab"));
-  FLIM_REQUIRE(w.file_ != nullptr,
-               "cannot open exhaust store for append: " + path);
-  return w;
+  return ExhaustStoreWriter(core::JournalWriter::resume(
+      path, kKind, valid_prefix_bytes, /*fsync_each_line=*/true));
 }
 
 void ExhaustStoreWriter::append(const ChunkCounts& chunk) {
-  const std::string line = chunk_line(chunk) + "\n";
-  FLIM_REQUIRE(mutex_ != nullptr, "exhaust-store writer was moved from");
-  const core::MutexLock lock(*mutex_);
-  FLIM_REQUIRE(file_ != nullptr, "exhaust-store writer is closed");
-  const std::size_t written =
-      std::fwrite(line.data(), 1, line.size(), file_.get());
-  FLIM_REQUIRE(written == line.size(),
-               "short write to exhaust store: " + path_);
-  sync_now(file_.get());
+  journal_.append(chunk_line(chunk));
 }
 
 ExhaustResult merge_exhaust_files(const std::vector<std::string>& paths) {

@@ -1,11 +1,10 @@
-// Durable store for exhaustive ECC enumerations: append-only JSONL chunk
-// files mirroring the campaign run store (exp/store.hpp). The first line is
-// a header carrying the spec fingerprint and shard identity; every
-// subsequent line is one completed chunk's tallies, fsync'd as a progress
-// marker. Loading tolerates a torn tail (a killed run resumes from the last
-// complete line) and merge validates fingerprints, disjointness, and
-// completeness before folding shard files into one result -- byte-identical
-// CSV to a single-process run, because tallies are integers.
+// Durable store for exhaustive ECC enumerations: a core/journal, like the
+// campaign run store (exp/store.hpp), whose header line carries the spec
+// fingerprint and shard identity and whose every later line is one
+// completed chunk's tallies. A killed run resumes from the last complete
+// line, and merge validates fingerprints, disjointness, and completeness
+// before folding shard files into one result -- byte-identical CSV to a
+// single-process run, because tallies are integers.
 #pragma once
 
 /// \file
@@ -15,19 +14,22 @@
 /// single-process run. See docs/ecc.md.
 
 #include <cstdint>
-#include <cstdio>
-#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "core/annotations.hpp"
-#include "core/sync.hpp"
+#include "core/journal.hpp"
 #include "reliability/ecc/exhaust.hpp"
 
 namespace flim::reliability::ecc {
 
 /// Revision of the exhaust-file layout; bumped on incompatible changes.
 inline constexpr int kExhaustFormatVersion = 1;
+
+/// How every exhaust-store header line begins; a newline-less prefix of it
+/// is the residue of a kill before the header was durable (a fresh start).
+inline constexpr std::string_view kExhaustHeaderTag =
+    "{\"flim_exhaust_format\"";
 
 /// First line of an exhaust store file.
 struct ExhaustHeader {
@@ -65,11 +67,6 @@ ExhaustHeader make_exhaust_header(const ExhaustSpec& spec,
                                   const ExhaustPlan& plan, int shard_index,
                                   int shard_count);
 
-/// True when chunk `chunk_index` belongs to shard `shard_index` of
-/// `shard_count` under the deterministic interleaved partition.
-bool exhaust_shard_owns(std::uint64_t chunk_index, int shard_index,
-                        int shard_count);
-
 /// A loaded exhaust store file: header plus every cleanly parsed chunk
 /// line (duplicates keep the first occurrence).
 struct ExhaustFile {
@@ -93,8 +90,9 @@ struct ExhaustFile {
   bool complete() const;
 };
 
-/// Append-only exhaust store writer; append() is thread-safe and fsyncs
-/// each line, so parallel chunk workers checkpoint without interleaving.
+/// Append-only exhaust store writer over a core::JournalWriter; append() is
+/// thread-safe and fsyncs each line, so parallel chunk workers checkpoint
+/// without interleaving.
 class ExhaustStoreWriter {
  public:
   /// Creates (or truncates) `path`, writes the header line, and syncs it.
@@ -109,19 +107,12 @@ class ExhaustStoreWriter {
   void append(const ChunkCounts& chunk);
 
   /// Path this writer appends to.
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return journal_.path(); }
 
  private:
-  ExhaustStoreWriter();
+  explicit ExhaustStoreWriter(core::JournalWriter journal);
 
-  struct FileCloser {
-    void operator()(std::FILE* f) const;
-  };
-
-  std::string path_;
-  /// Heap-allocated (never null) so the writer stays movable.
-  std::unique_ptr<core::Mutex> mutex_;
-  std::unique_ptr<std::FILE, FileCloser> file_ FLIM_PT_GUARDED_BY(*mutex_);
+  core::JournalWriter journal_;
 };
 
 /// Loads shard files of one enumeration (or a single complete file),

@@ -315,6 +315,13 @@ exp::ScenarioPoint make_test_point(std::size_t flat) {
   return point;
 }
 
+/// Flat indices of the points a loaded run file holds.
+std::set<std::size_t> stored_flat_indices(const exp::RunFile& run) {
+  std::set<std::size_t> flats;
+  for (const exp::StoredPoint& sp : run.points) flats.insert(sp.flat_index);
+  return flats;
+}
+
 TEST(RunStoreConcurrency, ParallelAppendThenResume) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "flim_concurrency_store.jsonl")
@@ -343,8 +350,9 @@ TEST(RunStoreConcurrency, ParallelAppendThenResume) {
   exp::RunFile half = exp::RunFile::load(path);
   EXPECT_FALSE(half.truncated_tail);
   EXPECT_EQ(half.points.size(), kPoints / 2);
+  const std::set<std::size_t> half_flats = stored_flat_indices(half);
   for (std::size_t i = 0; i < kPoints / 2; ++i) {
-    EXPECT_TRUE(half.has(i)) << "missing point " << i;
+    EXPECT_EQ(half_flats.count(i), 1u) << "missing point " << i;
   }
 
   // Simulate a crash mid-write, then a parallel resumed second half.
@@ -377,8 +385,9 @@ TEST(RunStoreConcurrency, ParallelAppendThenResume) {
   exp::RunFile full = exp::RunFile::load(path);
   EXPECT_FALSE(full.truncated_tail);
   EXPECT_EQ(full.points.size(), kPoints);
+  const std::set<std::size_t> full_flats = stored_flat_indices(full);
   for (std::size_t i = 0; i < kPoints; ++i) {
-    EXPECT_TRUE(full.has(i)) << "missing point " << i;
+    EXPECT_EQ(full_flats.count(i), 1u) << "missing point " << i;
   }
   for (const exp::StoredPoint& sp : full.points) {
     EXPECT_EQ(sp.point.metric.mean, static_cast<double>(sp.flat_index));

@@ -12,6 +12,7 @@
 #include "core/campaign.hpp"
 #include "core/check.hpp"
 #include "core/clock.hpp"
+#include "core/journal.hpp"
 #include "core/minijson.hpp"
 #include "core/report.hpp"
 #include "core/rng.hpp"
@@ -608,6 +609,36 @@ TEST(MiniJson, U64StringAcceptsOnlyDigitsInRange) {
   for (const char* key : {"over", "neg", "plus", "blank", "empty", "hex",
                           "tail", "num", "missing"}) {
     EXPECT_THROW(json_u64_string(obj, key), JsonError) << key;
+  }
+}
+
+TEST(Journal, OwnedCountMatchesThePartition) {
+  for (std::uint64_t total = 0; total <= 20; ++total) {
+    for (int count = 1; count <= 5; ++count) {
+      std::uint64_t covered = 0;
+      for (int index = 0; index < count; ++index) {
+        std::uint64_t owned = 0;
+        for (std::uint64_t i = 0; i < total; ++i) {
+          if (shard_owns(i, index, count)) ++owned;
+        }
+        EXPECT_EQ(shard_owned_count(total, index, count), owned)
+            << index << "/" << count << " of " << total;
+        covered += owned;
+      }
+      EXPECT_EQ(covered, total);
+    }
+  }
+}
+
+TEST(Journal, ShardIdentityMustBeInRange) {
+  EXPECT_NO_THROW(check_shard(0, 1));
+  EXPECT_NO_THROW(check_shard(6, 7));
+  for (const auto& [index, count] : {std::pair{0, 0}, std::pair{7, 1},
+                                     std::pair{-1, 2}, std::pair{2, 2}}) {
+    EXPECT_THROW(check_shard(index, count), std::invalid_argument)
+        << index << "/" << count;
+    EXPECT_THROW(shard_owns(0, index, count), std::invalid_argument);
+    EXPECT_THROW(shard_owned_count(10, index, count), std::invalid_argument);
   }
 }
 
