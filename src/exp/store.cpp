@@ -1,6 +1,5 @@
 #include "exp/store.hpp"
 
-#include <cstdlib>
 #include <map>
 #include <set>
 #include <sstream>
@@ -42,17 +41,19 @@ void put_d(std::ostringstream& os, const char* key, double v) {
 
 // ---------------------------------------------------------------------------
 // JSON for the flat run-file objects comes from core/minijson (numbers,
-// strings, and arrays of either). Parse failures throw core::JsonError,
-// which the journal scan maps to "corrupt tail" for point lines and to
-// std::invalid_argument for the header; semantic violations use
-// FLIM_REQUIRE directly.
+// strings, and arrays of either), every integer through a checked
+// accessor. Parse failures throw core::JsonError, which the journal scan
+// maps to "corrupt tail" for point lines and to std::invalid_argument for
+// the header; semantic violations use FLIM_REQUIRE directly.
 
 using core::JsonError;
 using core::JsonValue;
 using core::json_array;
+using core::json_int;
 using core::json_number;
 using core::json_quote;
 using core::json_string;
+using core::json_u64_string;
 
 constexpr const char* kKind = "run file";
 
@@ -112,17 +113,16 @@ std::string point_line(std::size_t flat_index, const ScenarioPoint& p) {
 RunHeader parse_header(const std::string& line) {
   const auto obj = core::parse_json_object_line(line);
   RunHeader h;
-  h.format = static_cast<int>(json_number(obj, "flim_run_format"));
+  h.format = json_int<int>(obj, "flim_run_format");
   h.name = json_string(obj, "name");
   h.backend = json_string(obj, "backend");
   h.fingerprint = json_string(obj, "fingerprint");
   h.library_version = json_string(obj, "library_version");
-  h.master_seed =
-      std::strtoull(json_string(obj, "master_seed").c_str(), nullptr, 10);
-  h.repetitions = static_cast<int>(json_number(obj, "repetitions"));
-  h.total_points = static_cast<std::size_t>(json_number(obj, "total_points"));
-  h.shard_index = static_cast<int>(json_number(obj, "shard_index"));
-  h.shard_count = static_cast<int>(json_number(obj, "shard_count"));
+  h.master_seed = json_u64_string(obj, "master_seed");
+  h.repetitions = json_int<int>(obj, "repetitions");
+  h.total_points = json_int<std::uint64_t>(obj, "total_points");
+  h.shard_index = json_int<int>(obj, "shard_index");
+  h.shard_count = json_int<int>(obj, "shard_count");
   h.clean_accuracy = json_number(obj, "clean_accuracy");
   for (const JsonValue& v : json_array(obj, "axis_names")) {
     if (v.kind != JsonValue::Kind::kString) {
@@ -131,10 +131,7 @@ RunHeader parse_header(const std::string& line) {
     h.axis_names.push_back(v.text);
   }
   for (const JsonValue& v : json_array(obj, "axis_sizes")) {
-    if (v.kind != JsonValue::Kind::kNumber) {
-      throw JsonError{"axis_sizes entry is not a number"};
-    }
-    h.axis_sizes.push_back(static_cast<std::size_t>(v.number));
+    h.axis_sizes.push_back(json_int<std::uint64_t>(v, "axis_sizes entry"));
   }
   return h;
 }
@@ -142,7 +139,7 @@ RunHeader parse_header(const std::string& line) {
 StoredPoint parse_point(const std::string& line) {
   const auto obj = core::parse_json_object_line(line);
   StoredPoint sp;
-  sp.flat_index = static_cast<std::size_t>(json_number(obj, "point"));
+  sp.flat_index = json_int<std::uint64_t>(obj, "point");
   for (const JsonValue& v : json_array(obj, "values")) {
     if (v.kind != JsonValue::Kind::kNumber) {
       throw JsonError{"values entry is not a number"};
@@ -159,7 +156,7 @@ StoredPoint parse_point(const std::string& line) {
   sp.point.metric.stddev = json_number(obj, "stddev");
   sp.point.metric.min = json_number(obj, "min");
   sp.point.metric.max = json_number(obj, "max");
-  sp.point.metric.count = static_cast<std::size_t>(json_number(obj, "count"));
+  sp.point.metric.count = json_int<std::uint64_t>(obj, "count");
   return sp;
 }
 
@@ -292,6 +289,8 @@ RunFile RunFile::load(const std::string& path) {
         FLIM_REQUIRE(run.header.format == kRunFormatVersion,
                      "unsupported run file format version " +
                          std::to_string(run.header.format) + " in " + path);
+        core::check_shard(run.header.shard_index, run.header.shard_count,
+                          path);
       },
       [&](const std::string& line) {
         StoredPoint sp = parse_point(line);

@@ -114,8 +114,9 @@ struct RunFile {
   bool truncated_tail = false;
 
   /// Loads `path`. Throws std::invalid_argument on a missing file or a bad
-  /// header; a malformed *point* line (torn write, corrupt tail) ends the
-  /// scan gracefully instead.
+  /// header (a malformed number or shard identity included); a malformed
+  /// *point* line (torn write, corrupt tail) ends the scan gracefully
+  /// instead.
   static RunFile load(const std::string& path);
 
   /// Number of grid cells this file's shard owns under the deterministic

@@ -1,7 +1,6 @@
 #include "reliability/ecc/exhaust.hpp"
 
 #include <algorithm>
-#include <filesystem>
 #include <sstream>
 
 #include "core/check.hpp"
@@ -252,7 +251,9 @@ ExhaustResult run_exhaust(const ExhaustSpec& raw_spec,
   std::vector<ChunkCounts> done;
   std::unique_ptr<ExhaustStoreWriter> writer;
   if (!store_path.empty()) {
-    if (std::filesystem::exists(store_path)) {
+    // The journal's fresh-start rule decides between resume and create.
+    if (core::journal_to_resume(store_path, kExhaustHeaderTag,
+                                "exhaust store")) {
       // Resume: an existing store must really be OURS -- fingerprint and
       // shard mismatches are errors, never silently overwritten.
       ExhaustFile existing = ExhaustFile::load(store_path);

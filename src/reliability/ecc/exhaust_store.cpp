@@ -142,6 +142,8 @@ ExhaustFile ExhaustFile::load(const std::string& path) {
         FLIM_REQUIRE(file.header.format == kExhaustFormatVersion,
                      "unsupported exhaust store format version " +
                          std::to_string(file.header.format) + " in " + path);
+        core::check_shard(file.header.shard_index, file.header.shard_count,
+                          path);
       },
       [&](const std::string& line) {
         ChunkCounts c = parse_chunk(line);

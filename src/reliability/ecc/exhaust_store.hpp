@@ -80,7 +80,8 @@ struct ExhaustFile {
   bool truncated_tail = false;
 
   /// Loads `path`. Throws std::invalid_argument on a missing file or bad
-  /// header; a malformed chunk line ends the scan gracefully.
+  /// header (a malformed number or shard identity included); a malformed
+  /// chunk line ends the scan gracefully.
   static ExhaustFile load(const std::string& path);
 
   /// Chunks this file's shard owns (its progress denominator).

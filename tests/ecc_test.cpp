@@ -375,6 +375,17 @@ class ExhaustStoreTest : public ::testing::Test {
     return (dir_ / name).string();
   }
 
+  static std::string read_bytes(const std::string& file) {
+    std::ifstream in(file, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+  }
+
+  static void write_bytes(const std::string& file, const std::string& bytes) {
+    std::ofstream out(file, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  }
+
   static ExhaustSpec small_spec() {
     ExhaustSpec spec;
     spec.codec_expr = "hamming(d=8,k=5)";
@@ -547,6 +558,9 @@ TEST_F(ExhaustStoreTest, MergeRejectsMalformedNumbers) {
                 R"("total_placements": "99999999999999999999")"),
            with(R"("code_bits": 13)", R"("code_bits": 13.5)"),
            with(R"("shard_count": 1)", R"("shard_count": 1e30)"),
+           // a shard identity outside [0, shard_count)
+           with(R"("shard_count": 1)", R"("shard_count": 0)"),
+           with(R"("shard_index": 0)", R"("shard_index": 7)"),
            with(R"("weights": [1, 2])", R"("weights": [1, 2.5])"),
            // well-formed numbers the spec cannot hold
            with(R"("chunk": "4096")", R"("chunk": "0")"),
@@ -583,6 +597,31 @@ TEST_F(ExhaustStoreTest, ResumesFromTornTail) {
   const ExhaustResult resumed = run_exhaust(spec, path("run.jsonl"), 0, 1, 1);
   EXPECT_EQ(resumed.to_table().to_csv(), fresh.to_table().to_csv());
   EXPECT_TRUE(ExhaustFile::load(path("run.jsonl")).complete());
+}
+
+TEST_F(ExhaustStoreTest, TornHeaderIsAFreshStart) {
+  // A kill between creating the store and durably writing its header
+  // leaves an empty file or a newline-less prefix of the header; the rerun
+  // starts fresh, exactly like a campaign run file.
+  const ExhaustSpec spec = small_spec();
+  const std::string fresh_csv =
+      run_exhaust(spec, path("fresh.jsonl"), 0, 1, 1).to_table().to_csv();
+  const std::string fresh_bytes = read_bytes(path("fresh.jsonl"));
+  for (const std::string& residue :
+       {std::string(), std::string("{\"flim_exhaust_fo")}) {
+    write_bytes(path("torn.jsonl"), residue);
+    EXPECT_EQ(run_exhaust(spec, path("torn.jsonl"), 0, 1, 1)
+                  .to_table()
+                  .to_csv(),
+              fresh_csv)
+        << residue;
+    EXPECT_EQ(read_bytes(path("torn.jsonl")), fresh_bytes) << residue;
+  }
+  // Anything else is some other file: refused and left untouched.
+  write_bytes(path("foreign.jsonl"), "hello");
+  EXPECT_THROW(run_exhaust(spec, path("foreign.jsonl"), 0, 1, 1),
+               std::invalid_argument);
+  EXPECT_EQ(read_bytes(path("foreign.jsonl")), "hello");
 }
 
 TEST_F(ExhaustStoreTest, RefusesForeignStores) {

@@ -316,6 +316,86 @@ TEST(RunFile, LoadRejectsGarbage) {
   std::filesystem::remove(path);
 }
 
+TEST(RunFile, MergeRejectsMalformedNumbers) {
+  // A complete two-point run file; each copy edits one header field or the
+  // first point line by hand.
+  RunHeader header;
+  header.name = "numbers";
+  header.backend = "flim";
+  header.fingerprint = "0123456789abcdef";
+  header.library_version = "flim-test";
+  header.master_seed = 2023;
+  header.repetitions = 2;
+  header.total_points = 2;
+  header.axis_names = {"rate"};
+  header.axis_sizes = {2};
+  const std::string clean = tmp_path("numbers_clean.run.jsonl");
+  {
+    RunStoreWriter writer(clean, header);
+    for (std::size_t flat = 0; flat < 2; ++flat) {
+      ScenarioPoint point;
+      point.values = {0.1 * static_cast<double>(flat)};
+      point.labels = {std::to_string(flat)};
+      point.metric = {0.5, 0.0, 0.5, 0.5, 2};
+      writer.append(flat, point);
+    }
+  }
+  std::istringstream lines(read_file(clean));
+  std::string head;
+  std::string first;
+  std::string second;
+  std::getline(lines, head);
+  std::getline(lines, first);
+  std::getline(lines, second);
+  std::filesystem::remove(clean);
+
+  const std::string path = tmp_path("numbers.run.jsonl");
+  const auto write = [&](const std::string& h, const std::string& p) {
+    write_file(path, h + "\n" + p + "\n" + second + "\n");
+    return path;
+  };
+  const auto edit = [](std::string line, const std::string& from,
+                       const std::string& to) {
+    const std::size_t at = line.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) line.replace(at, from.size(), to);
+    return line;
+  };
+  EXPECT_TRUE(RunFile::load(write(head, first)).complete());
+  EXPECT_EQ(merge_run_files({path}).points.size(), 2u);
+
+  for (const std::string& bad : {
+           edit(head, R"("master_seed": "2023")", R"("master_seed": "2023abc")"),
+           edit(head, R"("master_seed": "2023")", R"("master_seed": "-1")"),
+           edit(head, R"("repetitions": 2)", R"("repetitions": 2.5)"),
+           edit(head, R"("axis_sizes": [2])", R"("axis_sizes": [1e300])"),
+           edit(head, R"("total_points": 2)", R"("total_points": 1e300)"),
+           edit(head, R"("flim_run_format": 1)", R"("flim_run_format": 1.5)"),
+           // a shard identity outside [0, shard_count)
+           edit(head, R"("shard_count": 1)", R"("shard_count": 0)"),
+           edit(head, R"("shard_index": 0)", R"("shard_index": 7)"),
+       }) {
+    EXPECT_THROW(RunFile::load(write(bad, first)), std::invalid_argument)
+        << bad;
+    EXPECT_THROW(merge_run_files({write(bad, first)}), std::invalid_argument)
+        << bad;
+  }
+  // A malformed point line ends the valid prefix like a torn tail, so the
+  // file reads as incomplete and merge reports the gap.
+  for (const std::string& bad : {
+           edit(first, R"("point": 0)", R"("point": 1e30)"),
+           edit(first, R"("point": 0)", R"("point": 0.5)"),
+           edit(first, R"("count": 2)", R"("count": -5)"),
+       }) {
+    const RunFile run = RunFile::load(write(head, bad));
+    EXPECT_TRUE(run.truncated_tail) << bad;
+    EXPECT_TRUE(run.points.empty()) << bad;
+    EXPECT_FALSE(run.complete()) << bad;
+    EXPECT_THROW(merge_run_files({path}), std::invalid_argument) << bad;
+  }
+  std::filesystem::remove(path);
+}
+
 // ---------------------------------------------------------------------------
 // Corrupt-tail recovery
 
