@@ -14,10 +14,11 @@ the rule catalog and the allowlist workflow):
                      (src/core/rng.*). Everything random must flow from
                      core::Rng so seeds reproduce runs.
   unordered-emission no std::unordered_map/set in fingerprint/CSV/JSONL
-                     emission paths (core/report, exp/store, exp/scenario,
-                     fault_registry canonical forms, cli). Unordered
-                     iteration order is unspecified and varies across
-                     libstdc++ versions -- emitted bytes must not.
+                     emission paths (core/report, core/journal, exp/store,
+                     exp/scenario, fault_registry canonical forms, cli,
+                     reliability/ecc). Unordered iteration order is
+                     unspecified and varies across libstdc++ versions --
+                     emitted bytes must not.
   cout-in-library    no std::cout/printf in src/ (library code returns data
                      or uses core::log; stdout belongs to the CLI, which is
                      a vetted allowlist exception).
@@ -74,6 +75,7 @@ SRC_DIR = "src"
 # are fingerprinted, diffed, or resumed against.
 EMISSION_PATHS = (
     "src/core/report",
+    "src/core/journal",
     "src/exp/store",
     "src/exp/scenario",
     "src/fault/fault_registry",
