@@ -454,10 +454,7 @@ TEST_F(ExhaustStoreTest, WriterBytesMatchPinnedLines) {
       "\n"
       R"({"chunk": "3", "counts": [1, 5, 5, 0, 0, 2, 59, 0, 58, 1]})"
       "\n";
-  std::ifstream in(path("pinned.jsonl"), std::ios::binary);
-  const std::string bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-  EXPECT_EQ(bytes, expected);
+  EXPECT_EQ(read_bytes(path("pinned.jsonl")), expected);
 
   const ExhaustFile file = ExhaustFile::load(path("pinned.jsonl"));
   EXPECT_EQ(file.header.format, kExhaustFormatVersion);
