@@ -603,6 +603,45 @@ TEST(ScenarioGolden, CampaignCsvMatchesPinnedChecksums) {
   }
 }
 
+// The rate-only grid above faults every layer at once. This one faults each
+// LeNet layer alone (plus all of them), so every point's first faulted layer
+// differs, and the rate-0 column realizes empty masks.
+TEST(ScenarioGolden, LayerAxisCsvMatchesPinnedChecksums) {
+  using fault::FaultGranularity;
+  using fault::FaultKind;
+  const std::vector<CampaignGolden> goldens{
+      {"flim output bitflip", [](ScenarioSpec&) {}, 0x6c7e617b471f5fc1ull},
+      {"flim term stuckat",
+       [](ScenarioSpec& s) {
+         s.fault.kind = FaultKind::kStuckAt;
+         s.fault.granularity = FaultGranularity::kProductTerm;
+       },
+       0x7f08cd51eba6bb58ull},
+      {"tmr x3",
+       [](ScenarioSpec& s) {
+         s.engine.backend = Backend::kTmr;
+         s.engine.tmr_replicas = 3;
+       },
+       0x1cc4e3b46e89dacfull},
+      {"reference",
+       [](ScenarioSpec& s) { s.engine.backend = Backend::kReference; }, 0x4e923444a6ab223bull},
+  };
+  const Workload workload = untrained_lenet(128);
+  for (const CampaignGolden& golden : goldens) {
+    ScenarioSpec s;
+    s.axes = {layers_axis({"conv1", "conv2", "dense0", "dense1", "combined"}),
+              rate_axis({0.0, 0.01, 0.1})};
+    s.repetitions = 2;
+    s.master_seed = 7;
+    golden.configure(s);
+    const std::string csv =
+        ScenarioRunner(s).run(workload).to_table().to_csv();
+    const std::uint64_t observed = core::fnv1a64(csv);
+    EXPECT_EQ(observed, golden.checksum)
+        << golden.what << ": observed checksum 0x" << core::hash_hex(observed);
+  }
+}
+
 TEST(ScenarioRunner, PooledExpressionSweepIsBitIdenticalToSerial) {
   ScenarioSpec s = tiny_scenario();
   s.axes = {fault_expr_axis(

@@ -18,10 +18,12 @@
 
 #include "core/minijson.hpp"
 #include "core/thread_pool.hpp"
+#include "data/synthetic_mnist.hpp"
 #include "exp/eval_point.hpp"
 #include "exp/scenario.hpp"
 #include "fleet/protocol.hpp"
 #include "fleet/wire.hpp"
+#include "models/zoo.hpp"
 #include "serve/batcher.hpp"
 #include "serve/plan_cache.hpp"
 #include "serve/server.hpp"
@@ -301,6 +303,48 @@ TEST(PlanCache, WarmEntryAnswersPerRequestProtocols) {
   other.master_seed = 99;
   EXPECT_EQ(entry->evaluate_payload(3, 99, nullptr), direct_payload(other));
   EXPECT_EQ(cache.counters().misses, 1u);
+}
+
+/// An untrained LeNet built from its seed, so the pinned payloads below need
+/// no weight cache and no training.
+std::shared_ptr<const exp::Workload> untrained_lenet(std::int64_t images) {
+  data::SyntheticMnistOptions d;
+  d.size = images;
+  const data::SyntheticMnist ds(d);
+  auto w = std::make_shared<exp::Workload>();
+  w->model = models::build_lenet_binary(7).to_inference_model();
+  w->eval_batch = data::load_batch(ds, 0, images);
+  w->layers = w->model
+                  .analyze(tensor::FloatTensor(tensor::Shape{1, 1, 28, 28}, 0.5f))
+                  .binarized_layers;
+  return w;
+}
+
+TEST(PlanCache, ServedPayloadsMatchPinnedStrings) {
+  // The committed payloads pin what a warm entry answers for a faulted
+  // flim key and the clean reference key; edit them only for an intended
+  // change in fault realization or arithmetic.
+  const auto workload = untrained_lenet(64);
+  exp::EvalPointSpec flim = tiny_spec("bitflip(rate=0.05)");
+  flim.workload.eval_images = 64;
+  serve::CacheEntry flim_entry(flim, workload, 1);
+  EXPECT_EQ(flim_entry.evaluate_payload(3, 11, nullptr),
+            "{\"model\": \"lenet\", \"backend\": \"flim\", \"tmr_replicas\": 3, "
+            "\"fault\": \"bitflip(rate=0.05)\", \"granularity\": "
+            "\"output-element\", \"grid\": \"64x64\", \"images\": 64, "
+            "\"reps\": 3, \"seed\": 11, \"mean\": 0.078125, \"stddev\": "
+            "0.027063293868263706, \"min\": 0.0625, \"max\": 0.109375}");
+
+  exp::EvalPointSpec reference = tiny_spec("");
+  reference.workload.eval_images = 64;
+  reference.engine.backend = exp::Backend::kReference;
+  serve::CacheEntry reference_entry(reference, workload, 1);
+  EXPECT_EQ(reference_entry.evaluate_payload(3, 11, nullptr),
+            "{\"model\": \"lenet\", \"backend\": \"reference\", \"tmr_replicas\": "
+            "3, \"fault\": \"\", \"granularity\": \"output-element\", "
+            "\"grid\": \"64x64\", \"images\": 64, \"reps\": 3, \"seed\": 11, "
+            "\"mean\": 0.078125, \"stddev\": 0, \"min\": 0.078125, \"max\": "
+            "0.078125}");
 }
 
 // ---------------------------------------------------------------------------
