@@ -51,6 +51,7 @@ void BinaryConv2D::plan(PlanContext& pc) const {
   st.out_shape = tensor::Shape{in[0], out_channels_, g.out_h(), g.out_w()};
   st.acc_shape = tensor::Shape{in[0] * st.positions, out_channels_};
   pc.set_shape(st.out_shape);
+  pc.release_slots(si);
 }
 
 void BinaryConv2D::execute(const tensor::FloatTensor& input,

@@ -30,6 +30,7 @@ void BinaryDense::plan(PlanContext& pc) const {
   st.out_shape = tensor::Shape{in[0], out_features_};
   st.acc_shape = st.out_shape;
   pc.set_shape(st.out_shape);
+  pc.release_slots(si);
 }
 
 void BinaryDense::execute(const tensor::FloatTensor& input,

@@ -72,6 +72,7 @@ void Sequential::plan(PlanContext& pc) const {
   st.float_slot_a = slot_a;
   st.float_slot_b = slot_b;
   st.out_shape = pc.shape();
+  pc.release_slots(si);
 }
 
 void Sequential::execute(const tensor::FloatTensor& input,
@@ -114,6 +115,7 @@ void ResidualBlock::plan(PlanContext& pc) const {
   st.float_slot_c = slot_c;
   st.out_shape = main_shape;
   pc.set_shape(main_shape);
+  pc.release_slots(si);
 }
 
 void ResidualBlock::execute(const tensor::FloatTensor& input,
@@ -161,6 +163,7 @@ void ConcatBlock::plan(PlanContext& pc) const {
   st.out_shape = tensor::Shape{in_shape[0], in_shape[1] + grown[1],
                                in_shape[2], in_shape[3]};
   pc.set_shape(st.out_shape);
+  pc.release_slots(si);
 }
 
 void ConcatBlock::execute(const tensor::FloatTensor& input,

@@ -51,6 +51,7 @@ void Conv2D::plan(PlanContext& pc) const {
   st.patch_shape = tensor::Shape{in[0] * st.positions, g.patch_size()};
   st.acc_shape = tensor::Shape{in[0] * st.positions, out_channels_};
   pc.set_shape(st.out_shape);
+  pc.release_slots(si);
 }
 
 void Conv2D::execute(const tensor::FloatTensor& input, tensor::FloatTensor& out,

@@ -12,6 +12,11 @@
 // it. Committed golden checksums of the logits (tests/plan_test.cpp) are
 // the oracle for any change to layer arithmetic or engine call order.
 //
+// A plan runs any range of its root layers. A full pass is the range of all
+// roots; a fault campaign starts each repetition at the first root that
+// holds a faulted layer, from the clean activation a CleanPrefix computed
+// once for the input batch.
+//
 // Lifecycle and ownership:
 //   * A plan borrows the Model's layers; the Model must outlive the plan
 //     (moving the Model is fine -- layer storage is unique_ptr-stable).
@@ -22,10 +27,14 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "bnn/engine.hpp"
 #include "bnn/model.hpp"
+#include "core/annotations.hpp"
+#include "core/sync.hpp"
 #include "data/dataset.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/shape.hpp"
@@ -85,18 +94,31 @@ class PlanContext {
   std::size_t begin_step(const Layer& layer);
   PlanStep& step(std::size_t index) { return steps_[index]; }
 
-  /// Reserves workspace slots; ids are stable across executions.
-  int alloc_float_slot() { return num_float_slots_++; }
-  int alloc_int_slot() { return num_int_slots_++; }
-  int alloc_bit_slot() { return num_bit_slots_++; }
+  /// Reserves workspace slots; ids are stable across executions. A slot
+  /// released by an earlier step is handed out again before a new one.
+  int alloc_float_slot() { return alloc(free_float_, num_float_slots_); }
+  int alloc_int_slot() { return alloc(free_int_, num_int_slots_); }
+  int alloc_bit_slot() { return alloc(free_bit_, num_bit_slots_); }
+
+  /// Returns every slot step `index` recorded to its free list. A leaf calls
+  /// this at the end of plan(): its scratch is dead once it has written its
+  /// output. A block calls it after planning its children: its chain and
+  /// bypass buffers stay reserved while the children plan, so no child
+  /// shares them, and are dead once the block has written its output.
+  void release_slots(std::size_t index);
 
  private:
   friend class ForwardPlan;
+  static int alloc(std::vector<int>& free, int& count);
+
   tensor::Shape shape_;
   std::vector<PlanStep> steps_;
   int num_float_slots_ = 0;
   int num_int_slots_ = 0;
   int num_bit_slots_ = 0;
+  std::vector<int> free_float_;
+  std::vector<int> free_int_;
+  std::vector<int> free_bit_;
 };
 
 /// Per-execution state: the engine, the worker's arena, and a cursor over
@@ -104,9 +126,11 @@ class PlanContext {
 /// XnorExecutionEngine::set_thread_pool, not the context.)
 class ExecContext {
  public:
+  /// The cursor starts at record `cursor`: the first record of the root a
+  /// ranged run begins with.
   ExecContext(const std::vector<PlanStep>& steps, tensor::Workspace& ws,
-              XnorExecutionEngine& engine)
-      : steps_(steps), ws_(ws), engine_(engine) {}
+              XnorExecutionEngine& engine, std::size_t cursor = 0)
+      : steps_(steps), ws_(ws), engine_(engine), cursor_(cursor) {}
 
   XnorExecutionEngine& engine() { return engine_; }
   tensor::Workspace& ws() { return ws_; }
@@ -136,10 +160,20 @@ class ForwardPlan {
   /// empty or a layer rejects the shape.
   ForwardPlan(const Model& model, tensor::Shape input_shape);
 
-  const tensor::Shape& input_shape() const { return input_shape_; }
-  const tensor::Shape& output_shape() const { return output_shape_; }
+  const tensor::Shape& input_shape() const { return root_shapes_.front(); }
+  const tensor::Shape& output_shape() const { return root_shapes_.back(); }
   std::size_t num_steps() const { return steps_.size(); }
   const std::vector<PlanStep>& steps() const { return steps_; }
+
+  /// Number of root layers (the Model's top-level layers).
+  std::size_t num_roots() const { return roots_.size(); }
+  /// Shape of the activation entering root `root`; root num_roots() is the
+  /// output.
+  const tensor::Shape& root_input_shape(std::size_t root) const;
+  /// The root that holds the layer named `layer_name` (a layer inside a
+  /// residual, concat or sequential block maps to the block). Throws
+  /// std::invalid_argument when no layer of the plan has that name.
+  std::size_t root_of(const std::string& layer_name) const;
 
   /// Runs the compiled pass; returns the logits, which live in `ws` until
   /// the next execution through that arena. `input` must match
@@ -152,18 +186,95 @@ class ForwardPlan {
                                      core::ThreadPool* gemm_pool = nullptr)
       const;
 
+  /// Runs roots [first, last) from `input`, the activation entering root
+  /// `first`, and returns the activation leaving root last - 1 (`input`
+  /// itself for an empty range). Each root writes the top-level buffer of
+  /// `ws` that a full pass would have it write; `input` must not be the
+  /// buffer root `first` writes (entry_buffer() never is). execute() is the
+  /// range [0, num_roots()).
+  const tensor::FloatTensor& execute_range(
+      std::size_t first, std::size_t last, const tensor::FloatTensor& input,
+      tensor::Workspace& ws, XnorExecutionEngine& engine,
+      core::ThreadPool* gemm_pool = nullptr) const;
+
+  /// The top-level buffer of `ws` that a full pass leaves the activation
+  /// entering root `root` in (root >= 1).
+  tensor::FloatTensor& entry_buffer(std::size_t root,
+                                    tensor::Workspace& ws) const;
+
   /// Classification accuracy of the compiled pass over a batch.
   double evaluate(const data::Batch& batch, tensor::Workspace& ws,
                   XnorExecutionEngine& engine,
                   core::ThreadPool* gemm_pool = nullptr) const;
 
  private:
+  /// Top-level buffer root `root` writes: the two alternate.
+  int root_slot(std::size_t root) const {
+    return root % 2 == 0 ? slot_a_ : slot_b_;
+  }
+
   std::vector<const Layer*> roots_;  // borrowed from the Model
+  /// First step record of each root, then steps_.size().
+  std::vector<std::size_t> root_steps_;
+  /// Shape entering each root, then the output shape.
+  std::vector<tensor::Shape> root_shapes_;
   std::vector<PlanStep> steps_;
-  tensor::Shape input_shape_;
-  tensor::Shape output_shape_;
   int slot_a_ = -1;  // top-level ping-pong activation buffers
   int slot_b_ = -1;
+};
+
+/// The clean activations entering the roots of one plan for one input
+/// batch. A repetition whose faults all sit in root r or later starts at r
+/// from the stored activation; the roots in front of r computed it once for
+/// every repetition, point and request that starts there.
+///
+/// Each root is filled on first request, once, by the reference engine from
+/// the nearest root already stored below it, through a workspace local to
+/// that fill (so no worker's arena grows for steps it never runs). Only
+/// requested roots are stored. An activation whose values are all exactly
+/// +1.0f or -1.0f (the output of a Sign) is stored packed, one bit per
+/// value; any other is stored as floats. Thread-safe; borrows the plan and
+/// the input, which must outlive it.
+class CleanPrefix {
+ public:
+  CleanPrefix(const ForwardPlan& plan, const tensor::FloatTensor& input);
+
+  const ForwardPlan& plan() const { return plan_; }
+  const tensor::FloatTensor& input() const { return input_; }
+
+  /// Runs roots [root, num_roots()) through `ws` and `engine`, starting
+  /// from the clean activation entering `root`, and returns the logits.
+  /// Root 0 runs the full pass from the input; root num_roots() returns the
+  /// clean logits. Bit-identical to a full pass through `engine` whenever
+  /// `engine` computes the roots in front of `root` as the reference
+  /// engine does.
+  const tensor::FloatTensor& execute_from(
+      std::size_t root, tensor::Workspace& ws, XnorExecutionEngine& engine,
+      core::ThreadPool* gemm_pool = nullptr);
+
+  /// Number of roots filled so far.
+  std::size_t fills() const;
+
+ private:
+  /// One stored activation: packed signs when `packed`, else floats.
+  struct Entry {
+    bool packed = false;
+    tensor::BitMatrix bits;
+    tensor::FloatTensor values;
+  };
+
+  /// The stored activation entering `root`, filled on first request.
+  const Entry& entry(std::size_t root);
+  /// Unpacks `e`, the activation entering `root`, into `dst`.
+  void load(std::size_t root, const Entry& e, tensor::FloatTensor& dst,
+            tensor::Workspace& ws) const;
+
+  const ForwardPlan& plan_;
+  const tensor::FloatTensor& input_;
+  mutable core::Mutex mutex_;
+  /// Indexed by root; null until filled, never changed after.
+  std::vector<std::unique_ptr<const Entry>> entries_ FLIM_GUARDED_BY(mutex_);
+  std::size_t fills_ FLIM_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace flim::bnn

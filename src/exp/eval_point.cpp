@@ -1,5 +1,6 @@
 #include "exp/eval_point.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "bnn/flim_engine.hpp"
@@ -10,6 +11,7 @@
 #include "fault/residual.hpp"
 #include "models/zoo.hpp"
 #include "reliability/ecc/registry.hpp"
+#include "tensor/ops.hpp"
 
 namespace flim::exp {
 
@@ -82,11 +84,31 @@ double evaluate_fault_point(const EngineSpec& engine_spec,
                             const Workload& workload,
                             const bnn::ForwardPlan& plan, tensor::Workspace& ws,
                             const PointFaultConfig& pc, std::uint64_t seed,
-                            const fault::FaultStack* parsed) {
+                            const fault::FaultStack* parsed,
+                            bnn::CleanPrefix* prefix) {
+  FLIM_REQUIRE(prefix == nullptr ||
+                   (&prefix->plan() == &plan &&
+                    &prefix->input() == &workload.eval_batch.images),
+               "clean prefix belongs to another plan or batch");
+  // Runs the plan from `root` when a prefix is given, else the full pass.
+  const auto evaluate = [&](std::size_t root,
+                            bnn::XnorExecutionEngine& engine) {
+    if (prefix == nullptr) return plan.evaluate(workload.eval_batch, ws, engine);
+    return tensor::accuracy(prefix->execute_from(root, ws, engine),
+                            workload.eval_batch.labels);
+  };
+  // The first root holding a layer of `vectors`, or `root` if earlier.
+  const auto first_faulted = [&](const fault::FaultVectorFile& vectors,
+                                 std::size_t root) {
+    for (const fault::FaultVectorEntry& entry : vectors.entries()) {
+      root = std::min(root, plan.root_of(entry.layer_name));
+    }
+    return root;
+  };
   switch (engine_spec.backend) {
     case Backend::kReference: {
       bnn::ReferenceEngine engine;
-      return plan.evaluate(workload.eval_batch, ws, engine);
+      return evaluate(plan.num_roots(), engine);
     }
     case Backend::kFlim:
     case Backend::kDevice: {
@@ -94,7 +116,10 @@ double evaluate_fault_point(const EngineSpec& engine_spec,
       const fault::FaultVectorFile vectors =
           realize_point_vectors(grid, workload, pc, rng, parsed);
       const auto engine = make_engine(engine_spec, vectors);
-      return plan.evaluate(workload.eval_batch, ws, *engine);
+      if (engine_spec.backend == Backend::kDevice) {
+        return plan.evaluate(workload.eval_batch, ws, *engine);
+      }
+      return evaluate(first_faulted(vectors, plan.num_roots()), *engine);
     }
     case Backend::kTmr: {
       // Replica r draws its masks from an independent child stream, so the
@@ -102,12 +127,14 @@ double evaluate_fault_point(const EngineSpec& engine_spec,
       const core::Rng master(seed);
       std::vector<fault::FaultVectorFile> files;
       files.reserve(static_cast<std::size_t>(engine_spec.tmr_replicas));
+      std::size_t root = plan.num_roots();
       for (int r = 0; r < engine_spec.tmr_replicas; ++r) {
         core::Rng rng = master.derive(static_cast<std::uint64_t>(r));
         files.push_back(realize_point_vectors(grid, workload, pc, rng, parsed));
+        root = first_faulted(files.back(), root);
       }
       const auto engine = make_engine(engine_spec, files);
-      return plan.evaluate(workload.eval_batch, ws, *engine);
+      return evaluate(root, *engine);
     }
   }
   FLIM_REQUIRE(false, "unhandled backend");
@@ -156,7 +183,8 @@ core::Summary evaluate_eval_point(const EvalPointSpec& spec,
                                   const bnn::ForwardPlan& plan,
                                   std::vector<tensor::Workspace>& workspaces,
                                   core::ThreadPool* pool,
-                                  const fault::FaultStack* parsed) {
+                                  const fault::FaultStack* parsed,
+                                  bnn::CleanPrefix* prefix) {
   const std::size_t workers = pool ? pool->size() : 1;
   FLIM_REQUIRE(workspaces.size() >= workers,
                "evaluate_eval_point needs one workspace per pool worker");
@@ -171,7 +199,8 @@ core::Summary evaluate_eval_point(const EvalPointSpec& spec,
   return core::run_repeated(
       campaign, [&](std::uint64_t seed, std::size_t worker) {
         return evaluate_fault_point(spec.engine, spec.grid, workload, plan,
-                                    workspaces[worker], pc, seed, parsed);
+                                    workspaces[worker], pc, seed, parsed,
+                                    prefix);
       });
 }
 

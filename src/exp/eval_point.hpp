@@ -71,13 +71,21 @@ fault::FaultVectorFile realize_point_vectors(
 /// worker's private arena, reused across repetitions (only the injector
 /// masks change between invocations). Returns the accuracy fraction,
 /// bit-identical to the legacy Model::evaluate path.
+///
+/// `prefix`, when given, holds the clean activations of `plan` for
+/// `workload.eval_batch.images`. A flim or tmr repetition then starts at
+/// the first root holding a layer of its realized fault vectors, and a
+/// reference repetition reads the clean logits; the accuracy is
+/// bit-identical to the full pass. The device backend always runs the full
+/// pass: its crossbars simulate the clean layers too.
 double evaluate_fault_point(const EngineSpec& engine,
                             const lim::CrossbarGeometry& grid,
                             const Workload& workload,
                             const bnn::ForwardPlan& plan,
                             tensor::Workspace& ws, const PointFaultConfig& pc,
                             std::uint64_t seed,
-                            const fault::FaultStack* parsed = nullptr);
+                            const fault::FaultStack* parsed = nullptr,
+                            bnn::CleanPrefix* prefix = nullptr);
 
 /// One single-point evaluation request as data: workload, substrate, fault
 /// stack, and the repetition protocol. This is the serving layer's request
@@ -121,13 +129,15 @@ std::string eval_point_key(const EvalPointSpec& spec);
 /// vs pooled (core::run_repeated's contract). `workspaces` must hold at
 /// least one arena per pool worker (one when `pool` is null). `parsed`
 /// optionally supplies the pre-parsed fault stack, as in
-/// realize_point_vectors().
+/// realize_point_vectors(), and `prefix` the plan's clean activations, as
+/// in evaluate_fault_point().
 core::Summary evaluate_eval_point(const EvalPointSpec& spec,
                                   const Workload& workload,
                                   const bnn::ForwardPlan& plan,
                                   std::vector<tensor::Workspace>& workspaces,
                                   core::ThreadPool* pool = nullptr,
-                                  const fault::FaultStack* parsed = nullptr);
+                                  const fault::FaultStack* parsed = nullptr,
+                                  bnn::CleanPrefix* prefix = nullptr);
 
 /// Renders the canonical one-line JSON result payload: the resolved spec
 /// (canonical fault expression, report-name backend/granularity, "RxC"

@@ -453,9 +453,11 @@ ScenarioResult ScenarioRunner::run(
   // Compile the forward pass once per (workload, engine) pair; every grid
   // point and repetition reuses it -- only the injector masks change. Each
   // campaign worker owns one Workspace for the whole sweep, so steady-state
-  // inference allocates nothing.
+  // inference allocates nothing. The clean prefix computes the layers in
+  // front of each point's first faulted root once for the whole run.
   const bnn::ForwardPlan plan(workload.model,
                               workload.eval_batch.images.shape());
+  bnn::CleanPrefix prefix(plan, workload.eval_batch.images);
   const std::size_t workers = pool ? pool->size() : 1;
   std::vector<tensor::Workspace> workspaces(workers);
 
@@ -516,7 +518,8 @@ ScenarioResult ScenarioRunner::run(
               std::size_t worker) {
             const PointFaultConfig pc = resolve_point(spec_, to_indices(coords));
             return evaluate_fault_point(spec_.engine, spec_.grid, workload,
-                                        plan, workspaces[worker], pc, seed);
+                                        plan, workspaces[worker], pc, seed,
+                                        nullptr, &prefix);
           },
           [&](const core::SelectedGridPoint& cell) {
             const ScenarioPoint p = to_scenario_point(cell.point);

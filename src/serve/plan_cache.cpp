@@ -28,6 +28,7 @@ CacheEntry::CacheEntry(exp::EvalPointSpec spec,
       key_(exp::eval_point_key(spec_)),
       workload_(std::move(workload)),
       plan_(workload_->model, workload_->eval_batch.images.shape()),
+      prefix_(plan_, workload_->eval_batch.images),
       workspaces_(workers) {
   FLIM_REQUIRE(workers >= 1, "cache entry needs >= 1 evaluation worker");
   if (!spec_.fault_expr.empty()) {
@@ -43,7 +44,8 @@ core::Summary CacheEntry::evaluate(int repetitions, std::uint64_t master_seed,
   request.master_seed = master_seed;
   const core::MutexLock lock(exec_mutex_);
   return exp::evaluate_eval_point(request, *workload_, plan_, workspaces_,
-                                  pool, has_stack_ ? &stack_ : nullptr);
+                                  pool, has_stack_ ? &stack_ : nullptr,
+                                  &prefix_);
 }
 
 std::string CacheEntry::evaluate_payload(int repetitions,

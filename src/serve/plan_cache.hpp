@@ -82,6 +82,9 @@ class CacheEntry {
   std::string key_;
   std::shared_ptr<const exp::Workload> workload_;
   bnn::ForwardPlan plan_;
+  /// Clean activations of plan_ over the workload's batch, shared by every
+  /// request this entry answers.
+  bnn::CleanPrefix prefix_;
   fault::FaultStack stack_;
   bool has_stack_ = false;
 

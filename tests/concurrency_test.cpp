@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bnn/plan.hpp"
 #include "core/campaign.hpp"
 #include "core/rng.hpp"
 #include "core/thread_pool.hpp"
@@ -26,6 +27,7 @@
 #include "fault/fault_injector.hpp"
 #include "fault/fault_registry.hpp"
 #include "fleet/lease.hpp"
+#include "models/zoo.hpp"
 #include "serve/batcher.hpp"
 #include "serve/plan_cache.hpp"
 
@@ -164,6 +166,48 @@ TEST(FaultInjectorConcurrency, TermMaskCacheUnderContention) {
   EXPECT_TRUE(planes_equal(odd_ptr[0]->flip, ref_odd->flip));
   EXPECT_TRUE(planes_equal(odd_ptr[0]->sa0, ref_odd->sa0));
   EXPECT_TRUE(planes_equal(odd_ptr[0]->sa1, ref_odd->sa1));
+}
+
+TEST(CleanPrefixConcurrency, MixedRootsFillOnceAndMatchTheFullPass) {
+  const bnn::Model model = models::build_lenet_binary(3).to_inference_model();
+  tensor::FloatTensor x(tensor::Shape{4, 1, 28, 28});
+  core::Rng rng(5);
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    x[i] = static_cast<float>(rng.uniform_double() * 2.0 - 1.0);
+  }
+  const bnn::ForwardPlan plan(model, x.shape());
+  tensor::Workspace serial_ws;
+  bnn::ReferenceEngine serial_engine;
+  const tensor::FloatTensor expect = plan.execute(x, serial_ws, serial_engine);
+
+  // Every thread asks for every root, each in its own rotated order, so
+  // first requests for one root race from several threads at once.
+  bnn::CleanPrefix prefix(plan, x);
+  const std::size_t starts = plan.num_roots() + 1;
+  constexpr int kThreads = 6;
+  constexpr int kRounds = 3;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      tensor::Workspace ws;
+      bnn::ReferenceEngine engine;
+      for (std::size_t q = 0; q < kRounds * starts; ++q) {
+        const std::size_t root = (static_cast<std::size_t>(t) + q) % starts;
+        if (!(prefix.execute_from(root, ws, engine) == expect)) {
+          ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+  }
+  // Roots 1..num_roots() are stored, each by exactly one fill; root 0 is
+  // the input itself.
+  EXPECT_EQ(prefix.fills(), plan.num_roots());
 }
 
 // A deterministic, allocation-light stand-in for an inference metric; the

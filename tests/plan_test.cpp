@@ -178,6 +178,64 @@ TEST_P(PlanZooModels, TmrMatchesGolden) {
                 zoo_golden(GetParam()).tmr);
 }
 
+/// Draws a fault-vector file that faults `layer` alone.
+fault::FaultVectorFile one_layer_vectors(const std::string& layer,
+                                         const fault::FaultSpec& spec,
+                                         std::uint64_t seed) {
+  fault::RealizeContext ctx;
+  ctx.grid = {16, 16};
+  core::Rng rng(seed);
+  fault::FaultVectorFile file;
+  file.add(fault::stack_from_spec(spec).realize_entry(layer, spec.granularity,
+                                                      ctx, rng));
+  return file;
+}
+
+// A run that starts at a faulted layer's root, from the clean activation the
+// prefix stored, gives the full pass's logits bit for bit: for every
+// binarized layer, at both granularities. The zoo's root inputs include
+// exact ±1 activations (stored packed) and real-valued ones (Bi-Real,
+// RealToBinary and MeliusNet blocks; stored as floats). One workspace serves
+// every prefix run, so stale buffers from another start root must not leak.
+TEST_P(PlanZooModels, PrefixRunEqualsFullPassPerFaultedLayer) {
+  Model model = models::build_zoo_graph(GetParam(), 5).to_inference_model();
+  const FloatTensor sample = deterministic_input(Shape{1, 3, 32, 32}, 7);
+  const FloatTensor x = deterministic_input(Shape{2, 3, 32, 32}, 13);
+  const ForwardPlan plan(model, x.shape());
+  CleanPrefix prefix(plan, x);
+  tensor::Workspace full_ws;
+  tensor::Workspace prefix_ws;
+
+  ReferenceEngine reference;
+  const FloatTensor clean = plan.execute(x, full_ws, reference);
+  expect_equal_logits(
+      clean, prefix.execute_from(plan.num_roots(), prefix_ws, reference),
+      GetParam() + "/clean logits");
+
+  fault::FaultSpec spec;
+  spec.kind = fault::FaultKind::kBitFlip;
+  spec.injection_rate = 0.1;
+  for (const auto granularity : {fault::FaultGranularity::kOutputElement,
+                                 fault::FaultGranularity::kProductTerm}) {
+    spec.granularity = granularity;
+    for (const LayerWorkload& layer : model.analyze(sample).binarized_layers) {
+      const std::string what = GetParam() + "/" + layer.layer_name + "/" +
+                               fault::to_string(granularity);
+      const fault::FaultVectorFile vectors =
+          one_layer_vectors(layer.layer_name, spec, 29);
+      FlimEngine full(vectors);
+      FlimEngine from_root(vectors);
+      const FloatTensor expected = plan.execute(x, full_ws, full);
+      ASSERT_NE(expected, clean) << what << ": the faults must be live";
+      expect_equal_logits(
+          expected,
+          prefix.execute_from(plan.root_of(layer.layer_name), prefix_ws,
+                              from_root),
+          what);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllNine, PlanZooModels,
                          ::testing::ValuesIn(models::zoo_model_names()));
 
@@ -363,6 +421,80 @@ TEST(Plan, RejectsInputShapeMismatch) {
   ReferenceEngine engine;
   const FloatTensor wrong = deterministic_input(Shape{3, 1, 28, 28}, 5);
   EXPECT_THROW(plan.execute(wrong, ws, engine), std::invalid_argument);
+}
+
+TEST(Plan, LenetPrefixRunsKeepDynamicFaultTiming) {
+  // Dynamic faults count executions per image in the faulted layer's
+  // injector; skipping the clean roots in front must not shift them.
+  Model model = models::build_lenet_binary(2).to_inference_model();
+  const FloatTensor sample = deterministic_input(Shape{1, 1, 28, 28}, 3);
+  const FloatTensor x = deterministic_input(Shape{4, 1, 28, 28}, 31);
+  const ForwardPlan plan(model, x.shape());
+  CleanPrefix prefix(plan, x);
+  tensor::Workspace full_ws;
+  tensor::Workspace prefix_ws;
+  fault::FaultSpec spec;
+  spec.kind = fault::FaultKind::kDynamic;
+  spec.dynamic_period = 2;
+  spec.injection_rate = 0.15;
+  spec.granularity = fault::FaultGranularity::kProductTerm;
+  std::size_t previous_root = 0;
+  for (const LayerWorkload& layer : model.analyze(sample).binarized_layers) {
+    const std::size_t root = plan.root_of(layer.layer_name);
+    EXPECT_GE(root, previous_root) << "layers appear in root order";
+    previous_root = root;
+    const fault::FaultVectorFile vectors =
+        one_layer_vectors(layer.layer_name, spec, 37);
+    FlimEngine full(vectors);
+    FlimEngine from_root(vectors);
+    const FloatTensor expected = plan.execute(x, full_ws, full);
+    expect_equal_logits(expected,
+                        prefix.execute_from(root, prefix_ws, from_root),
+                        layer.layer_name);
+  }
+  EXPECT_GT(previous_root, 0u);
+  EXPECT_EQ(prefix.fills(), 4u) << "one fill per distinct start root";
+}
+
+TEST(Plan, RangedRunsComposeAndBlockLayersMapToTheirRoot) {
+  std::vector<LayerPtr> body;
+  body.push_back(std::make_unique<BinaryConv2D>(
+      "res/body", 2, 2, 3, 1, 1, deterministic_input(Shape{2, 18}, 87)));
+  Model model("two-roots");
+  model.add(std::make_unique<Sign>("sign"));
+  model.add(std::make_unique<ResidualBlock>(
+      "res", std::move(body),
+      std::make_unique<BinaryConv2D>("res/shortcut", 2, 2, 1, 1, 0,
+                                     deterministic_input(Shape{2, 2}, 88))));
+  const FloatTensor x = deterministic_input(Shape{2, 2, 5, 5}, 89);
+  const ForwardPlan plan(model, x.shape());
+  ASSERT_EQ(plan.num_roots(), 2u);
+  EXPECT_EQ(plan.root_of("sign"), 0u);
+  EXPECT_EQ(plan.root_of("res"), 1u);
+  EXPECT_EQ(plan.root_of("res/body"), 1u);
+  EXPECT_EQ(plan.root_of("res/shortcut"), 1u);
+  EXPECT_THROW(plan.root_of("no-such-layer"), std::invalid_argument);
+
+  tensor::Workspace ws;
+  ReferenceEngine engine;
+  const FloatTensor full = plan.execute(x, ws, engine);
+  const FloatTensor& signs = plan.execute_range(0, 1, x, ws, engine);
+  EXPECT_EQ(&signs, &plan.entry_buffer(1, ws));
+  expect_equal_logits(full, plan.execute_range(1, 2, signs, ws, engine),
+                      "[0, 1) then [1, 2)");
+  EXPECT_EQ(&plan.execute_range(2, 2, full, ws, engine), &full);
+
+  EXPECT_THROW(plan.execute_range(1, 3, signs, ws, engine),
+               std::invalid_argument);
+  EXPECT_THROW(plan.execute_range(1, 2,
+                                  deterministic_input(Shape{2, 2, 4, 4}, 90),
+                                  ws, engine),
+               std::invalid_argument);
+  // Root 0 writes the buffer root 1 enters from.
+  FloatTensor& aliased = plan.entry_buffer(1, ws);
+  ws.reshape(aliased, x.shape());
+  EXPECT_THROW(plan.execute_range(0, 1, aliased, ws, engine),
+               std::invalid_argument);
 }
 
 TEST(Plan, SharedPlanSeparateWorkspacesAgree) {
