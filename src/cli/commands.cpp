@@ -706,9 +706,10 @@ int cmd_campaign_status(const Args& args) {
                 std::to_string(run.points.size()) + "/" +
                     std::to_string(run.owned_points()),
                 complete ? "complete" : "partial", torn);
-    } catch (const std::exception&) {
+    } catch (const std::exception& e) {
       all_complete = false;
       table.add(path, "-", "-", "-", "-", "-", "unreadable", "-");
+      std::cerr << "campaign status: " << path << ": " << e.what() << "\n";
     }
   }
   core::print_table(std::cout, "campaign status", table);

@@ -368,11 +368,17 @@ ScenarioResult merge_run_files(const std::vector<std::string>& paths) {
                        " (shard run files must be disjoint)");
     }
   }
+  std::string torn;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    if (runs[i].truncated_tail) {
+      torn += "; " + paths[i] + " stops at a torn or malformed line";
+    }
+  }
   FLIM_REQUIRE(
       merged.size() == first.total_points,
       "merged run files cover " + std::to_string(merged.size()) + " of " +
           std::to_string(first.total_points) +
-          " grid points (missing shards?)");
+          " grid points (missing shards?)" + torn);
 
   ScenarioResult result;
   result.name = first.name;

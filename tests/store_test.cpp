@@ -617,5 +617,32 @@ TEST(Merge, DetectsOverlapGapAndMismatch) {
   std::filesystem::remove(store.store_path);
 }
 
+TEST(Merge, NamesTheRunFileThatStopsEarly) {
+  // Shard 1's first point line is edited to a point index no grid has: the
+  // file stops there, and merge names it instead of only counting the gap.
+  const std::string s0 = run_shard(0, 2, "early");
+  const std::string s1 = run_shard(1, 2, "early");
+  std::string bytes = read_file(s1);
+  const std::string from = R"("point": 1,)";
+  const std::size_t at = bytes.find(from);
+  ASSERT_NE(at, std::string::npos);
+  bytes.replace(at, from.size(), R"("point": 1e30,)");
+  write_file(s1, bytes);
+  try {
+    merge_run_files({s0, s1});
+    ADD_FAILURE() << "merge accepted a run file that stops early";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("cover 3 of 6 grid points"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find(s1 + " stops at a torn or malformed line"),
+              std::string::npos)
+        << what;
+    EXPECT_EQ(what.find(s0 + " stops"), std::string::npos) << what;
+  }
+  std::filesystem::remove(s0);
+  std::filesystem::remove(s1);
+}
+
 }  // namespace
 }  // namespace flim::exp
