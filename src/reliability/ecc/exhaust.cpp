@@ -6,6 +6,7 @@
 #include "core/check.hpp"
 #include "core/journal.hpp"
 #include "core/rng.hpp"
+#include "core/sync.hpp"
 #include "core/sysinfo.hpp"
 #include "core/thread_pool.hpp"
 #include "reliability/ecc/exhaust_store.hpp"
@@ -296,11 +297,24 @@ ExhaustResult run_exhaust(const ExhaustSpec& raw_spec,
 
   std::vector<ChunkCounts> fresh_counts(pending.size());
   if (!pending.empty()) {
+    // Chunks finish in any order on the pool, but the store receives them
+    // in chunk order, so one command writes the same bytes at every --jobs:
+    // each finisher appends the longest finished prefix of `pending` not
+    // yet written. A finished chunk still waiting for an earlier one when
+    // the run dies is redone on resume.
+    core::Mutex append_mutex;
+    std::vector<char> finished(pending.size(), 0);
+    std::size_t written = 0;
     core::ThreadPool pool(static_cast<std::size_t>(jobs));
     pool.parallel_for_slotted(
         pending.size(), [&](std::size_t i, std::size_t /*slot*/) {
           fresh_counts[i] = run_exhaust_chunk(spec, plan, pending[i]);
-          if (writer != nullptr) writer->append(fresh_counts[i]);
+          if (writer == nullptr) return;
+          const core::MutexLock lock(append_mutex);
+          finished[i] = 1;
+          while (written < pending.size() && finished[written] != 0) {
+            writer->append(fresh_counts[written++]);
+          }
         });
   }
 

@@ -413,6 +413,20 @@ TEST_F(ExhaustStoreTest, ShardedMergeMatchesSingleProcessByteForByte) {
   EXPECT_EQ(alone.to_table().to_csv(), single.to_table().to_csv());
 }
 
+TEST_F(ExhaustStoreTest, PooledStoreEqualsSerialStoreByteForByte) {
+  // Chunks finish out of order on a pool; the store still lists them in
+  // chunk order, for a whole run and for each shard.
+  ExhaustSpec spec = small_spec();
+  spec.chunk = 3;  // 31 chunks, so four workers finish out of order
+  run_exhaust(spec, path("serial.jsonl"), 0, 1, 1);
+  run_exhaust(spec, path("pooled.jsonl"), 0, 1, 4);
+  EXPECT_EQ(read_bytes(path("pooled.jsonl")), read_bytes(path("serial.jsonl")));
+  run_exhaust(spec, path("serial_s1.jsonl"), 1, 2, 1);
+  run_exhaust(spec, path("pooled_s1.jsonl"), 1, 2, 4);
+  EXPECT_EQ(read_bytes(path("pooled_s1.jsonl")),
+            read_bytes(path("serial_s1.jsonl")));
+}
+
 TEST_F(ExhaustStoreTest, WriterBytesMatchPinnedLines) {
   // The exhaust-store format is pinned byte for byte, like the run file's:
   // a resume reads what an earlier build wrote.
