@@ -129,7 +129,7 @@ class ExecContext {
   /// The cursor starts at record `cursor`: the first record of the root a
   /// ranged run begins with.
   ExecContext(const std::vector<PlanStep>& steps, tensor::Workspace& ws,
-              XnorExecutionEngine& engine, std::size_t cursor = 0)
+              XnorExecutionEngine& engine, std::size_t cursor)
       : steps_(steps), ws_(ws), engine_(engine), cursor_(cursor) {}
 
   XnorExecutionEngine& engine() { return engine_; }
